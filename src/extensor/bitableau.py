@@ -12,12 +12,13 @@ tests check through the place-regrouping map.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb
 
-from .exterior import format_terms
+from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
-                          make_biproduct)
+                          _graded_components, make_biproduct, phi)
+from .tensorops import IntegerTerms
 from .words import position_slices, word_slices
 
 
@@ -28,36 +29,27 @@ class StraighteningBudgetExceeded(RuntimeError):
 Rows = tuple[Biproduct, ...]
 
 
-class BitableauElement:
+class BitableauElement(IntegerTerms):
     """Integer combination of products of biproducts."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, terms=None):
-        if m < 1:
-            raise ValueError("need at least one place")
-        clean: dict[Rows, int] = {}
-        for rows, coeff in (terms or {}).items():
-            c = int(coeff)
-            if not c:
-                continue
-            key = tuple(rows)
-            for row in key:
-                if not isinstance(row, Biproduct) or row.is_unit:
-                    raise ValueError("rows must be nonunit biproducts")
-                if any(p > m for p, _ in row.degrees):
-                    raise ValueError("row uses a place outside 1..m")
-            clean[key] = c
-        self.m = m
-        self.terms = clean
+    def _valid_key(self, rows) -> Rows:
+        key = tuple(rows)
+        for row in key:
+            if not isinstance(row, Biproduct) or row.is_unit:
+                raise ValueError("rows must be nonunit biproducts")
+            if any(p > self.m for p, _ in row.degrees):
+                raise ValueError("row uses a place outside 1..m")
+        return key
 
-    @classmethod
-    def zero(cls, m):
-        return cls(m, {})
+    @staticmethod
+    def _sort_key(rows):
+        return (len(rows), tuple(r.sort_key() for r in rows))
 
-    @classmethod
-    def unit(cls, m):
-        return cls(m, {(): 1})
+    @staticmethod
+    def _key_str(rows) -> str:
+        return "^".join(str(r) for r in rows) if rows else "1"
 
     @classmethod
     def single(cls, m, rows, coeff=1):
@@ -76,43 +68,13 @@ class BitableauElement:
     @classmethod
     def from_letterplace(cls, e: LetterplaceElement) -> "BitableauElement":
         """Rewrite each monomial as its product of single-place rows."""
-        out: dict[Rows, int] = {}
-        for mono, c in e.terms.items():
-            rows = []
-            by_place: dict[int, list[str]] = {}
-            for letter, place in mono:
-                by_place.setdefault(place, []).append(letter)
-            for place in sorted(by_place):
-                letters = tuple(by_place[place])   # already sorted within a place
-                rows.append(Biproduct(letters, ((place, len(letters)),)))
-            key = tuple(rows)
-            out[key] = out.get(key, 0) + c
-        return cls(e.m, out)
-
-    def _check(self, other):
-        if self.m != other.m:
-            raise ValueError("place counts differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BitableauElement(self.m, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BitableauElement(self.m, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, n: int):
-        return BitableauElement(self.m, {k: int(n) * c for k, c in self.terms.items()})
-
-    __rmul__ = scale
+        out = {tuple(Biproduct(word, ((place, len(word)),))
+                     for place, word in enumerate(folds, start=1) if word): c
+               for folds, c in phi(e).terms.items()}
+        return cls._trusted(out, e.m)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, BitableauElement):
             return self.scale(other)
         self._check(other)
         out: dict[Rows, int] = {}
@@ -120,14 +82,7 @@ class BitableauElement:
             for r2, c2 in other.terms.items():
                 key = r1 + r2
                 out[key] = out.get(key, 0) + c1 * c2
-        return BitableauElement(self.m, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, BitableauElement)
-                and self.m == other.m and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
+        return self._like(out)
 
     def to_letterplace(self) -> LetterplaceElement:
         """Expand every row product; the value in the letterplace algebra."""
@@ -140,16 +95,6 @@ class BitableauElement:
                     break
             out = out + acc.scale(c)
         return out
-
-    def __str__(self):
-        items = sorted(self.terms.items(),
-                       key=lambda kv: (len(kv[0]), tuple(r.sort_key() for r in kv[0])))
-        return format_terms(
-            items,
-            lambda rows: "^".join(str(r) for r in rows) if rows else "1")
-
-    def __repr__(self):
-        return f"BitableauElement({self.m}, {self.terms!r})"
 
 
 def is_standard(rows) -> bool:
@@ -172,10 +117,6 @@ def _first_violation(rows: Rows):
         if len(w1) < len(w2) or any(a > b for a, b in zip(w1, w2)):
             return idx
     return None
-
-
-def _deg_total(degrees) -> int:
-    return sum(q for _, q in degrees)
 
 
 def _deg_add(degrees, extra: dict[int, int]):
@@ -296,8 +237,6 @@ def straighten(e: BitableauElement, order="deglex",
     while work:
         rows = min(work, key=key)
         coeff = work.pop(rows)
-        if not coeff:
-            continue
         idx = _first_violation(rows)
         if idx is None:
             done[rows] = done.get(rows, 0) + coeff
@@ -312,7 +251,7 @@ def straighten(e: BitableauElement, order="deglex",
                 work[nk] = v
             elif nk in work:
                 del work[nk]
-    return BitableauElement(e.m, {k: v for k, v in done.items() if v})
+    return e._like(done)
 
 
 # -- the doubly standard basis ----------------------------------------
@@ -343,8 +282,6 @@ def is_doubly_standard(rows) -> bool:
 def _row_options(length, letters, places, prev):
     """Rows of the given length from the available letters and place
     capacities, compatible with the previous row."""
-    from itertools import combinations
-
     prev_word = prev.word if prev else None
     prev_places = _place_row(prev) if prev else None
     for word in combinations(sorted(letters), length):
@@ -407,80 +344,29 @@ def standard_expansion(e: LetterplaceElement) -> BitableauElement:
     zero, so a failure of either spanning or independence raises
     instead of returning a wrong answer.
     """
-    from fractions import Fraction
-
     m = e.m
-    components: dict[tuple, dict] = {}
-    for mono, c in e.terms.items():
-        pdeg: dict[int, int] = {}
-        content: dict[str, int] = {}
-        for x, i in mono:
-            pdeg[i] = pdeg.get(i, 0) + 1
-            content[x] = content.get(x, 0) + 1
-        key = (tuple(sorted(pdeg.items())), tuple(sorted(content.items())))
-        components.setdefault(key, {})[mono] = c
     out: dict[Rows, int] = {}
-    for (pdeg_t, content_t), vec in components.items():
+    for (pdeg_t, content_t), vec in _graded_components(e).items():
         candidates = sorted(
             _standard_candidates(dict(content_t), dict(pdeg_t)),
             key=lambda rows: tuple(r.sort_key() for r in rows))
-        echelon: dict = {}
+        echelon = linalg.SparseEchelon()
         for rows in candidates:
             acc = LetterplaceElement.unit(m)
             for row in rows:
                 acc = acc * biproduct_expand(row, m)
-            rvec = {mono: Fraction(c) for mono, c in acc.terms.items()}
-            expr = {rows: Fraction(1)}
-            while rvec:
-                lead = min(rvec)
-                hit = echelon.get(lead)
-                if hit is None:
-                    scale = rvec[lead]
-                    echelon[lead] = (
-                        {k: v / scale for k, v in rvec.items()},
-                        {k: v / scale for k, v in expr.items()})
-                    rvec = None
-                    break
-                factor = rvec[lead]
-                hrow, hexpr = hit
-                nxt = dict(rvec)
-                for k, v in hrow.items():
-                    nv = nxt.get(k, Fraction(0)) - factor * v
-                    if nv:
-                        nxt[k] = nv
-                    elif k in nxt:
-                        del nxt[k]
-                for k, v in hexpr.items():
-                    expr[k] = expr.get(k, Fraction(0)) - factor * v
-                rvec = nxt
-            if rvec is not None:
+            if not echelon.insert(acc.terms, label=rows):
                 raise AssertionError("standard products are dependent")
-        coords: dict[Rows, Fraction] = {}
-        work = {mono: Fraction(c) for mono, c in vec.items()}
-        while work:
-            lead = min(work)
-            hit = echelon.get(lead)
-            if hit is None:
-                raise AssertionError("standard products failed to span")
-            factor = work[lead]
-            hrow, hexpr = hit
-            nxt = dict(work)
-            for k, v in hrow.items():
-                nv = nxt.get(k, Fraction(0)) - factor * v
-                if nv:
-                    nxt[k] = nv
-                elif k in nxt:
-                    del nxt[k]
-            for k, v in hexpr.items():
-                coords[k] = coords.get(k, Fraction(0)) + factor * v
-            work = nxt
+        coords: dict = {}
+        if echelon.reduce(vec, coords):
+            raise AssertionError("standard products failed to span")
         for rows, c in coords.items():
             if not c:
                 continue
             if c.denominator != 1:
                 raise AssertionError("non-integral standard coordinates")
             out[rows] = out.get(rows, 0) + c.numerator
-    return BitableauElement(m, out)
+    return BitableauElement._trusted(out, m)
 
 
 # -- the two-row identity, both sides in expanded form ----------------

@@ -31,7 +31,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitableau import BitableauElement, straighten
+from .bitableau import (BitableauElement, StraighteningBudgetExceeded,
+                        straighten)
 from .cg_algebra import PeanoSpace, standard_basis
 from .exterior import ExteriorElement, as_vector
 from .identity_suite import SUITES, Report, run_suite
@@ -323,7 +324,7 @@ class Evaluator:
 
     def _eval_bp(self, node):
         _, word, degrees = node
-        return BitableauElement.single(self.m, [(tuple(word), dict(degrees))])
+        return BitableauElement.single(self.m, [(tuple(word), degrees)])
 
     def _eval_scale(self, node):
         _, value, body = node
@@ -332,15 +333,9 @@ class Evaluator:
     def _scale(self, x, value: Fraction):
         if isinstance(x, Fraction):
             return value * x
-        if isinstance(x, ExteriorElement):
-            return value * x
-        if isinstance(x, TensorPowerElement):
-            return x.scale(value)
-        if isinstance(x, (LetterplaceElement, BitableauElement)):
-            if value.denominator != 1:
-                raise EvalError("letterplace coefficients are integers")
-            return x.scale(value.numerator)
-        raise EvalError(f"cannot scale {type(x).__name__}")
+        if x.ring is int and value.denominator != 1:
+            raise EvalError("letterplace coefficients are integers")
+        return x.scale(value)
 
     def _eval_neg(self, node):
         return self._scale(self.eval(node[1]), Fraction(-1))
@@ -392,10 +387,8 @@ class Evaluator:
             else:
                 raise EvalError("tensor separator needs exterior factors")
         left, right = folds
-        out: dict = {}
-        for ka, ca in left.terms.items():
-            for kb, cb in right.terms.items():
-                out[ka + kb] = out.get(ka + kb, Fraction(0)) + ca * cb
+        out = {ka + kb: ca * cb for ka, ca in left.terms.items()
+               for kb, cb in right.terms.items()}
         return TensorPowerElement(self.env.dim, left.m + right.m, out)
 
     def _eval_star(self, node):
@@ -454,9 +447,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_straighten(args) -> int:
-    env = Environment(dim=3)
-    node = parse(args.expression)
-    value = Evaluator(env, m=_max_place(node)).eval(node)
+    value = evaluate_text(args.expression, Environment(dim=3))
     if isinstance(value, LetterplaceElement):
         value = BitableauElement.from_letterplace(value)
     if not isinstance(value, BitableauElement):
@@ -552,7 +543,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, EvalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except ZeroDivisionError as exc:
+        print(f"error: division by zero in {exc}", file=sys.stderr)
+        return 2
+    except (ParseError, EvalError, OSError, json.JSONDecodeError, ValueError,
+            StraighteningBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

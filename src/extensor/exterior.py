@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .tensorops import SparseTerms, format_terms  # noqa: F401  (re-exported)
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -31,37 +32,41 @@ def unit_vector(dim: int, i: int) -> Vector:
     return tuple(Fraction(int(j == i)) for j in range(1, dim + 1))
 
 
-class ExteriorElement:
+def _index_word(word, dim: int) -> Word:
+    """``word`` as a tuple, checked to be strictly increasing in 1..dim."""
+    w = tuple(word)
+    if any(i < 1 or i > dim for i in w):
+        raise ValueError(f"index word {w} out of range for dimension {dim}")
+    if any(a >= b for a, b in zip(w, w[1:])):
+        raise ValueError(f"index word {w} is not strictly increasing")
+    return w
+
+
+def word_str(word: Word) -> str:
+    if not word:
+        return "1"
+    return "^".join(f"e{i}" for i in word)
+
+
+class ExteriorElement(SparseTerms):
     """A sparse element of the exterior algebra of a fixed dimension."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
+    _shape = {"dim": DimensionMismatch}
+    ring = Fraction
 
     def __init__(self, dim: int, terms=None):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        clean: dict[Word, Fraction] = {}
-        for word, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            w = tuple(word)
-            if any(i < 1 or i > dim for i in w):
-                raise ValueError(f"index word {w} out of range for dimension {dim}")
-            if any(a >= b for a, b in zip(w, w[1:])):
-                raise ValueError(f"index word {w} is not strictly increasing")
-            clean[w] = c
         self.dim = dim
-        self.terms = clean
+        self.terms = self._clean(terms)
+
+    def _valid_key(self, word) -> Word:
+        return _index_word(word, self.dim)
+
+    _key_str = staticmethod(word_str)
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "ExteriorElement":
-        return cls(dim, {})
-
-    @classmethod
-    def unit(cls, dim: int) -> "ExteriorElement":
-        return cls(dim, {(): Fraction(1)})
 
     @classmethod
     def monomial(cls, dim: int, word: Sequence[int], coeff=1) -> "ExteriorElement":
@@ -70,32 +75,9 @@ class ExteriorElement:
     @classmethod
     def from_vector(cls, coords: Iterable) -> "ExteriorElement":
         v = as_vector(coords)
-        return cls(len(v), {(i,): c for i, c in enumerate(v, start=1) if c})
+        return cls._trusted({(i,): c for i, c in enumerate(v, start=1)}, len(v))
 
     # -- ring structure ----------------------------------------------
-
-    def _check(self, other: "ExteriorElement"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim}")
-
-    def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return ExteriorElement(self.dim, out)
-
-    def __sub__(self, other: "ExteriorElement") -> "ExteriorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ExteriorElement":
-        return ExteriorElement(self.dim, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar) -> "ExteriorElement":
-        s = Fraction(scalar)
-        return ExteriorElement(self.dim, {w: s * c for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The join: bilinear, associative, graded-anticommutative."""
@@ -106,17 +88,10 @@ class ExteriorElement:
                 sign, w = merge_words(u, v)
                 if sign == 0:
                     continue
-                out[w] = out.get(w, Fraction(0)) + sign * cu * cv
-        return ExteriorElement(self.dim, out)
+                out[w] = out.get(w, 0) + sign * cu * cv
+        return self._like(out)
 
     __xor__ = wedge
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExteriorElement)
-                and self.dim == other.dim and self.terms == other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # -- grading -----------------------------------------------------
 
@@ -129,13 +104,8 @@ class ExteriorElement:
             raise ValueError("element is not homogeneous")
         return steps.pop()
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({len(w) for w in self.terms}) <= 1
-
     def homogeneous_component(self, k: int) -> "ExteriorElement":
-        return ExteriorElement(
-            self.dim, {w: c for w, c in self.terms.items() if len(w) == k})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == k})
 
     def scalar_part(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -159,46 +129,8 @@ class ExteriorElement:
             if len(word) != sum(parts):
                 continue
             for sign, blocks in word_slices(word, parts):
-                out[blocks] = out.get(blocks, Fraction(0)) + sign * c
-        return TensorPowerElement(self.dim, len(parts), out)
-
-    # -- presentation ------------------------------------------------
-
-    def __str__(self) -> str:
-        return format_terms(
-            sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])),
-            word_str)
-
-    def __repr__(self) -> str:
-        return f"ExteriorElement({self.dim}, {self.terms!r})"
-
-
-def word_str(word: Word) -> str:
-    if not word:
-        return "1"
-    return "^".join(f"e{i}" for i in word)
-
-
-def format_terms(items, key_str) -> str:
-    """Render sorted (key, coeff) pairs in the canonical sum syntax."""
-    if not items:
-        return "0"
-    parts = []
-    for key, coeff in items:
-        mono = key_str(key)
-        mag = abs(coeff)
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag} {mono}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+                out[blocks] = out.get(blocks, 0) + sign * c
+        return TensorPowerElement._trusted(out, self.dim, len(parts))
 
 
 def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:

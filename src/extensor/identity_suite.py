@@ -58,24 +58,12 @@ def rand_extensor(rng, n, step) -> ExteriorElement:
             return e
 
 
-def rand_homogeneous(rng, n, step, nterms=2) -> ExteriorElement:
-    while True:
-        out = ExteriorElement.zero(n)
-        for _ in range(nterms):
-            word = tuple(sorted(rng.sample(range(1, n + 1), step)))
-            out = out + ExteriorElement.monomial(n, word, rand_fraction(rng))
-        if out:
-            return out
-
-
 def rand_tensor(rng, n, m, nterms=2) -> TensorPowerElement:
     out = TensorPowerElement.zero(n, m)
     for _ in range(nterms):
         key = tuple(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
                     for _ in range(m))
-        c = rand_fraction(rng)
-        if c:
-            out = out + TensorPowerElement(n, m, {key: c})
+        out = out + TensorPowerElement(n, m, {key: rand_fraction(rng)})
     return out
 
 

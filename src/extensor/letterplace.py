@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import tensorops
-from .exterior import format_terms
+from .tensorops import IntegerTerms
 from .words import sort_with_sign, word_slices
 
 LPVar = tuple[str, int]          # (letter, place)
@@ -44,36 +44,23 @@ def lp_normalize(seq: Iterable[LPVar]):
     return sign, tuple((x, i) for i, x in srt)
 
 
-class LetterplaceElement:
+class LetterplaceElement(IntegerTerms):
     """Integer combination of square-free letterplace monomials."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, terms=None):
-        if m < 1:
-            raise ValueError("need at least one place")
-        clean: dict[LPMonomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            c = int(coeff)
-            if not c:
-                continue
-            key = tuple((str(x), int(i)) for x, i in mono)
-            keys = [_var_key(v) for v in key]
-            if any(a >= b for a, b in zip(keys, keys[1:])) or len(set(key)) != len(key):
-                raise ValueError(f"monomial {key} is not canonical")
-            if any(i < 1 or i > m for _, i in key):
-                raise ValueError(f"place out of range in {key}")
-            clean[key] = c
-        self.m = m
-        self.terms = clean
+    def _valid_key(self, mono) -> LPMonomial:
+        key = tuple((str(x), int(i)) for x, i in mono)
+        keys = [_var_key(v) for v in key]
+        if any(a >= b for a, b in zip(keys, keys[1:])) or len(set(key)) != len(key):
+            raise ValueError(f"monomial {key} is not canonical")
+        if any(i < 1 or i > self.m for _, i in key):
+            raise ValueError(f"place out of range in {key}")
+        return key
 
-    @classmethod
-    def zero(cls, m: int) -> "LetterplaceElement":
-        return cls(m, {})
-
-    @classmethod
-    def unit(cls, m: int) -> "LetterplaceElement":
-        return cls(m, {(): 1})
+    @staticmethod
+    def _key_str(mono) -> str:
+        return "^".join(f"({x}|{i})" for x, i in mono) if mono else "1"
 
     @classmethod
     def generator(cls, m: int, letter: str, place: int) -> "LetterplaceElement":
@@ -86,33 +73,8 @@ class LetterplaceElement:
             return cls.zero(m)
         return cls(m, {mono: sign * coeff})
 
-    def _check(self, other: "LetterplaceElement"):
-        if self.m != other.m:
-            raise ValueError(f"place counts {self.m} and {other.m} differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return LetterplaceElement(self.m, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LetterplaceElement(self.m, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, n: int) -> "LetterplaceElement":
-        return LetterplaceElement(self.m, {k: int(n) * c for k, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LetterplaceElement):
             return self.scale(other)
         self._check(other)
         out: dict[LPMonomial, int] = {}
@@ -121,36 +83,23 @@ class LetterplaceElement:
                 sign, mono = lp_normalize(u + v)
                 if sign == 0:
                     continue
-                c = out.get(mono, 0) + sign * cu * cv
-                if c:
-                    out[mono] = c
-                elif mono in out:
-                    del out[mono]
-        return LetterplaceElement(self.m, out)
+                out[mono] = out.get(mono, 0) + sign * cu * cv
+        return self._like(out)
 
-    def __eq__(self, other):
-        return (isinstance(other, LetterplaceElement)
-                and self.m == other.m and self.terms == other.terms)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def total_degree(self):
-        degs = {len(k) for k in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def __str__(self):
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return format_terms(
-            items,
-            lambda mono: "^".join(f"({x}|{i})" for x, i in mono) if mono else "1")
-
-    def __repr__(self):
-        return f"LetterplaceElement({self.m}, {self.terms!r})"
+def _graded_components(e: LetterplaceElement) -> dict:
+    """The terms of ``e`` by (place degrees, letter content), each key
+    a sorted tuple of ``(place or letter, count)`` pairs."""
+    components: dict[tuple, dict] = {}
+    for mono, c in e.terms.items():
+        pdeg: dict[int, int] = {}
+        content: dict[str, int] = {}
+        for x, i in mono:
+            pdeg[i] = pdeg.get(i, 0) + 1
+            content[x] = content.get(x, 0) + 1
+        key = (tuple(sorted(pdeg.items())), tuple(sorted(content.items())))
+        components.setdefault(key, {})[mono] = c
+    return components
 
 
 def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -213,10 +162,6 @@ class Biproduct:
 
     word: LetterWord
     degrees: tuple[tuple[int, int], ...]   # (place, exponent), exponents > 0
-
-    @property
-    def total(self) -> int:
-        return sum(q for _, q in self.degrees)
 
     @property
     def is_unit(self) -> bool:
@@ -288,87 +233,39 @@ def expand_raw(word: Sequence[str], degrees, m: int) -> LetterplaceElement:
 
 # -- the place-regrouping isomorphism --------------------------------
 
-class FreeTensorElement:
+class FreeTensorElement(IntegerTerms):
     """Integer element of the m-fold tensor power of the free skew algebra."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
+    _sort_key = staticmethod(tensorops.fold_sort_key)
 
-    def __init__(self, m: int, terms=None):
-        if m < 1:
-            raise ValueError("need at least one fold")
-        clean: dict[tuple[LetterWord, ...], int] = {}
-        for key, coeff in (terms or {}).items():
-            c = int(coeff)
-            if not c:
-                continue
-            k = tuple(tuple(str(x) for x in w) for w in key)
-            if len(k) != m:
-                raise ValueError(f"key {k} does not have {m} folds")
-            for w in k:
-                if any(a >= b for a, b in zip(w, w[1:])):
-                    raise ValueError(f"fold word {w} is not strictly increasing")
-            clean[k] = c
-        self.m = m
-        self.terms = clean
+    def _valid_key(self, key) -> tuple[LetterWord, ...]:
+        k = tuple(tuple(str(x) for x in w) for w in key)
+        if len(k) != self.m:
+            raise ValueError(f"key {k} does not have {self.m} folds")
+        for w in k:
+            if any(a >= b for a, b in zip(w, w[1:])):
+                raise ValueError(f"fold word {w} is not strictly increasing")
+        return k
 
-    @classmethod
-    def zero(cls, m):
-        return cls(m, {})
+    @staticmethod
+    def _key_str(key) -> str:
+        return " # ".join("".join(w) if w else "1" for w in key)
 
     @classmethod
     def unit(cls, m):
         return cls(m, {((),) * m: 1})
 
-    def _check(self, other):
-        if self.m != other.m:
-            raise ValueError("fold counts differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return FreeTensorElement(self.m, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FreeTensorElement(self.m, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, n: int):
-        return FreeTensorElement(self.m, {k: int(n) * c for k, c in self.terms.items()})
-
-    __rmul__ = scale
-
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, FreeTensorElement):
             return self.scale(other)
         self._check(other)
-        return FreeTensorElement(self.m,
-                                 tensorops.graded_product_terms(self.terms, other.terms))
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeTensorElement)
-                and self.m == other.m and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        items = sorted(self.terms.items(),
-                       key=lambda kv: tuple((len(w), w) for w in kv[0]))
-        return format_terms(
-            items,
-            lambda key: " # ".join("".join(w) if w else "1" for w in key))
-
-    def __repr__(self):
-        return f"FreeTensorElement({self.m}, {self.terms!r})"
+        return self._like(tensorops.graded_product_terms(self.terms, other.terms))
 
 
 def ft_diamond(h: int, j: int, i: int, t: FreeTensorElement) -> FreeTensorElement:
     """The formal geometric product on the free tensor power."""
-    return FreeTensorElement(t.m, tensorops.diamond_terms(t.terms, h, j, i, t.m))
+    return t._like(tensorops.diamond_terms(t.terms, h, j, i, t.m))
 
 
 def phi(e: LetterplaceElement) -> FreeTensorElement:
@@ -384,7 +281,7 @@ def phi(e: LetterplaceElement) -> FreeTensorElement:
             folds[place - 1].append(letter)
         key = tuple(tuple(f) for f in folds)
         out[key] = out.get(key, 0) + c
-    return FreeTensorElement(e.m, out)
+    return FreeTensorElement._trusted(out, e.m)
 
 
 def phi_inv(t: FreeTensorElement) -> LetterplaceElement:
@@ -392,4 +289,4 @@ def phi_inv(t: FreeTensorElement) -> LetterplaceElement:
     for key, c in t.terms.items():
         mono = tuple((x, i) for i, w in enumerate(key, start=1) for x in w)
         out[mono] = out.get(mono, 0) + c
-    return LetterplaceElement(t.m, out)
+    return LetterplaceElement._trusted(out, t.m)

@@ -2,7 +2,8 @@
 
 Dense Gaussian elimination with first-nonzero pivoting, so every result
 is deterministic and reproducible.  Matrices are lists of rows of
-Fractions; everything stays exact.
+Fractions; everything stays exact.  :class:`SparseEchelon` does the same
+for sparse vectors keyed by ordered basis keys.
 """
 
 from __future__ import annotations
@@ -120,3 +121,64 @@ def intersect_spans(rows_a, rows_b, ncols):
             inter.append(vec)
     red, _ = rref(inter)
     return red
+
+
+class SparseEchelon:
+    """Sparse row echelon form over the rationals.
+
+    Vectors are dicts from totally ordered keys to coefficients.  Each
+    stored row is scaled to 1 at its pivot, its least key, and carries
+    its combination: a dict from the labels of inserted vectors to the
+    coefficients that give the row.  Elimination always clears the least
+    key of the vector first.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict, coords: dict | None = None) -> dict:
+        """What is left of ``vec`` after clearing every pivot it reaches.
+
+        Stops at the first least key that is not a pivot; the result is
+        empty exactly when ``vec`` lies in the span.  When ``coords`` is
+        given, the labelled vectors subtracted along the way are added
+        to it, so that ``vec`` equals the result plus the combination
+        ``coords`` of labelled vectors.
+        """
+        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        while vec:
+            lead = min(vec)
+            hit = self.rows.get(lead)
+            if hit is None:
+                break
+            row, combo = hit
+            factor = vec[lead]
+            for k, v in row.items():
+                nv = vec.get(k, 0) - factor * v
+                if nv:
+                    vec[k] = nv
+                else:
+                    del vec[k]
+            if coords is not None:
+                for k, v in combo.items():
+                    coords[k] = coords.get(k, 0) + factor * v
+        return vec
+
+    def insert(self, vec: dict, label=None) -> bool:
+        """Reduce ``vec`` and store the remainder as a new row.
+
+        Returns False, storing nothing, when ``vec`` lies in the span.
+        """
+        coords: dict = {}
+        rest = self.reduce(vec, coords)
+        if not rest:
+            return False
+        lead = min(rest)
+        scale = rest[lead]
+        combo = {} if label is None else {label: 1 / scale}
+        for k, v in coords.items():
+            combo[k] = -v / scale
+        self.rows[lead] = ({k: v / scale for k, v in rest.items()}, combo)
+        return True

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import linalg
 from .exterior import ExteriorElement, Word, as_vector, make_extensor
-from .tensor_power import TensorPowerElement, diamond
+from .tensor_power import TensorPowerElement, _rank_factor_pairs, diamond
 from .words import inversions
 
 
@@ -73,16 +73,7 @@ def minimal_representation(t: TensorPowerElement) -> MinimalRepresentation:
         raise ValueError("minimal representations are defined for two folds")
     if not t:
         return MinimalRepresentation((), t.dim)
-    lwords = sorted({k[0] for k in t.terms}, key=lambda w: (len(w), w))
-    rwords = sorted({k[1] for k in t.terms}, key=lambda w: (len(w), w))
-    mat = [[t.terms.get((lw, rw), Fraction(0)) for rw in rwords] for lw in lwords]
-    cols, rows = linalg.rank_factorization(mat)
-    pairs = []
-    for i in range(len(rows)):
-        left = ExteriorElement(t.dim, {lw: cols[j][i] for j, lw in enumerate(lwords)})
-        right = ExteriorElement(t.dim, {rw: rows[i][j] for j, rw in enumerate(rwords)})
-        pairs.append((left, right))
-    rep = MinimalRepresentation(tuple(pairs), t.dim)
+    rep = MinimalRepresentation(tuple(_rank_factor_pairs(t)), t.dim)
     if rep.tensor() != t:
         raise AssertionError("rank factorization failed to reconstruct the tensor")
     return rep

@@ -15,43 +15,40 @@ from typing import Sequence
 
 from . import linalg, tensorops
 from .exterior import (DimensionMismatch, ExteriorElement, Word,
-                       extensor_span, word_str, format_terms)
+                       extensor_span, _index_word, word_str)
+from .tensorops import SparseTerms, fold_sort_key
 
 
 class FoldMismatch(ValueError):
     """Operands have different fold counts."""
 
 
-class TensorPowerElement:
+class TensorPowerElement(SparseTerms):
     """A sparse element of the m-fold tensor power."""
 
-    __slots__ = ("dim", "m", "terms")
+    __slots__ = ("dim", "m")
+    _shape = {"dim": DimensionMismatch, "m": FoldMismatch}
+    ring = Fraction
+    _sort_key = staticmethod(fold_sort_key)
 
     def __init__(self, dim: int, m: int, terms=None):
         if m < 1:
             raise ValueError("fold count must be positive")
-        clean: dict[tuple[Word, ...], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            k = tuple(tuple(w) for w in key)
-            if len(k) != m:
-                raise FoldMismatch(f"key {k} does not have {m} folds")
-            for w in k:
-                if any(i < 1 or i > dim for i in w) or \
-                   any(a >= b for a, b in zip(w, w[1:])):
-                    raise ValueError(f"bad fold word {w} for dimension {dim}")
-            clean[k] = c
         self.dim = dim
         self.m = m
-        self.terms = clean
+        self.terms = self._clean(terms)
+
+    def _valid_key(self, key) -> tuple[Word, ...]:
+        k = tuple(key)
+        if len(k) != self.m:
+            raise FoldMismatch(f"key {k} does not have {self.m} folds")
+        return tuple(_index_word(w, self.dim) for w in k)
+
+    @staticmethod
+    def _key_str(key) -> str:
+        return " # ".join(word_str(w) for w in key)
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, m: int) -> "TensorPowerElement":
-        return cls(dim, m, {})
 
     @classmethod
     def unit(cls, dim: int, m: int) -> "TensorPowerElement":
@@ -70,51 +67,14 @@ class TensorPowerElement:
             nxt: dict[tuple[Word, ...], Fraction] = {}
             for key, c in terms.items():
                 for w, cw in f.terms.items():
-                    nxt[key + (w,)] = nxt.get(key + (w,), Fraction(0)) + c * cw
+                    nxt[key + (w,)] = c * cw
             terms = nxt
-        return cls(dim, len(factors), terms)
-
-    # -- module structure --------------------------------------------
-
-    def _check(self, other: "TensorPowerElement"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim}")
-        if self.m != other.m:
-            raise FoldMismatch(f"fold counts {self.m} and {other.m}")
-
-    def __add__(self, other: "TensorPowerElement") -> "TensorPowerElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorPowerElement(self.dim, self.m, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorPowerElement(self.dim, self.m,
-                                  {k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar) -> "TensorPowerElement":
-        s = Fraction(scalar)
-        return TensorPowerElement(self.dim, self.m,
-                                  {k: s * c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+        return cls._trusted(terms, dim, len(factors))
 
     def __mul__(self, other):
         if isinstance(other, TensorPowerElement):
             return graded_product(self, other)
         return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorPowerElement) and self.dim == other.dim
-                and self.m == other.m and self.terms == other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # -- helpers -----------------------------------------------------
 
@@ -126,20 +86,11 @@ class TensorPowerElement:
             out = out + TensorPowerElement.from_elements(images).scale(c)
         return out
 
-    def __str__(self) -> str:
-        items = sorted(self.terms.items(),
-                       key=lambda kv: tuple((len(w), w) for w in kv[0]))
-        return format_terms(items, lambda key: " # ".join(word_str(w) for w in key))
-
-    def __repr__(self) -> str:
-        return f"TensorPowerElement({self.dim}, {self.m}, {self.terms!r})"
-
 
 def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:
     """Fold-wise wedge with the Koszul sign of crossing folds."""
     s._check(t)
-    return TensorPowerElement(s.dim, s.m,
-                              tensorops.graded_product_terms(s.terms, t.terms))
+    return s._like(tensorops.graded_product_terms(s.terms, t.terms))
 
 
 def diamond(h: int, j: int, i: int, t: TensorPowerElement) -> TensorPowerElement:
@@ -151,8 +102,7 @@ def diamond(h: int, j: int, i: int, t: TensorPowerElement) -> TensorPowerElement
     onto the right of fold j.  h = 0 is the identity; i = j is the
     diagonal operator (h = 1 only) scaling by the step of fold i.
     """
-    return TensorPowerElement(t.dim, t.m,
-                              tensorops.diamond_terms(t.terms, h, j, i, t.m))
+    return t._like(tensorops.diamond_terms(t.terms, h, j, i, t.m))
 
 
 def contains(a: ExteriorElement, b: ExteriorElement) -> bool:
@@ -163,15 +113,25 @@ def contains(a: ExteriorElement, b: ExteriorElement) -> bool:
     return not diamond(1, 2, 1, t)
 
 
-def _rank_one_factors(t: TensorPowerElement):
+def _rank_factor_pairs(t: TensorPowerElement):
+    """Pairs ``(left_i, right_i)`` with ``sum(left_i (x) right_i) == t``,
+    one per rank of the coefficient matrix of the two-fold tensor."""
     lwords = sorted({k[0] for k in t.terms}, key=lambda w: (len(w), w))
     rwords = sorted({k[1] for k in t.terms}, key=lambda w: (len(w), w))
     mat = [[t.terms.get((lw, rw), Fraction(0)) for rw in rwords] for lw in lwords]
     cols, rows = linalg.rank_factorization(mat)
-    if len(rows) != 1:
-        raise ValueError(f"tensor has rank {len(rows)}, expected 1")
-    left = ExteriorElement(t.dim, {lw: cols[i][0] for i, lw in enumerate(lwords)})
-    right = ExteriorElement(t.dim, {rw: rows[0][j] for j, rw in enumerate(rwords)})
+    return [(ExteriorElement._trusted(
+                 {lw: cols[j][i] for j, lw in enumerate(lwords)}, t.dim),
+             ExteriorElement._trusted(
+                 {rw: rows[i][j] for j, rw in enumerate(rwords)}, t.dim))
+            for i in range(len(rows))]
+
+
+def _rank_one_factors(t: TensorPowerElement):
+    pairs = _rank_factor_pairs(t)
+    if len(pairs) != 1:
+        raise ValueError(f"tensor has rank {len(pairs)}, expected 1")
+    left, right = pairs[0]
     lead = min(left.terms, key=lambda w: (len(w), w))
     s = left.terms[lead]
     return (1 / s) * left, s * right

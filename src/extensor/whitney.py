@@ -21,7 +21,8 @@ import random
 from . import linalg
 from .bitableau import BitableauElement, standard_expansion, straighten
 from .exterior import as_vector, make_extensor
-from .letterplace import (LetterplaceElement, expand_raw, phi)
+from .letterplace import (LetterplaceElement, _graded_components, expand_raw,
+                          phi)
 from .tensor_power import TensorPowerElement
 from .words import word_slices
 
@@ -204,6 +205,12 @@ def _row_is_dead(row, matroid: Matroid) -> bool:
     return not matroid.is_independent(word)
 
 
+def _drop_dead_rows(x: BitableauElement, matroid: Matroid) -> BitableauElement:
+    """``x`` without the products that contain a dependent row."""
+    return x._like({rows: c for rows, c in x.terms.items()
+                    if not any(_row_is_dead(r, matroid) for r in rows)})
+
+
 def wh_normal_form(e: WhitneyElement, order="deglex",
                    budget: int = 10 ** 6) -> BitableauElement:
     """Straighten, delete dependent rows, and express what is left in
@@ -218,29 +225,11 @@ def wh_normal_form(e: WhitneyElement, order="deglex",
     """
     b = BitableauElement.from_letterplace(e.raw)
     s = straighten(b, order=order, budget=budget)
-    kept = {rows: c for rows, c in s.terms.items()
-            if not any(_row_is_dead(r, e.matroid) for r in rows)}
-    residue = BitableauElement(e.raw.m, kept).to_letterplace()
-    expanded = standard_expansion(residue)
-    final = {rows: c for rows, c in expanded.terms.items()
-             if not any(_row_is_dead(r, e.matroid) for r in rows)}
-    return BitableauElement(e.raw.m, final)
+    residue = _drop_dead_rows(s, e.matroid).to_letterplace()
+    return _drop_dead_rows(standard_expansion(residue), e.matroid)
 
 
 # -- brute-force ideal membership -------------------------------------
-
-def _content(mono) -> tuple[tuple[str, int], ...]:
-    counts: dict[str, int] = {}
-    for x, _ in mono:
-        counts[x] = counts.get(x, 0) + 1
-    return tuple(sorted(counts.items()))
-
-def _place_degree(mono) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for _, i in mono:
-        counts[i] = counts.get(i, 0) + 1
-    return tuple(sorted(counts.items()))
-
 
 def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
     """Canonical monomials with the exact letter content and place degrees."""
@@ -267,50 +256,6 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
         yield vars_sorted
 
 
-def _echelon_insert(echelon: dict, vec: dict) -> bool:
-    """Reduce vec against the echelon rows; insert the remainder.
-
-    Returns True when the vector added a new pivot.
-    """
-    vec = {k: Fraction(v) for k, v in vec.items() if v}
-    while vec:
-        lead = min(vec)
-        row = echelon.get(lead)
-        if row is None:
-            scale = vec[lead]
-            echelon[lead] = {k: v / scale for k, v in vec.items()}
-            return True
-        factor = vec[lead]
-        nxt = dict(vec)
-        for k, v in row.items():
-            nv = nxt.get(k, Fraction(0)) - factor * v
-            if nv:
-                nxt[k] = nv
-            elif k in nxt:
-                del nxt[k]
-        vec = nxt
-    return False
-
-
-def _reduces_to_zero(echelon: dict, vec: dict) -> bool:
-    vec = {k: Fraction(v) for k, v in vec.items() if v}
-    while vec:
-        lead = min(vec)
-        row = echelon.get(lead)
-        if row is None:
-            return False
-        factor = vec[lead]
-        nxt = dict(vec)
-        for k, v in row.items():
-            nv = nxt.get(k, Fraction(0)) - factor * v
-            if nv:
-                nxt[k] = nv
-            elif k in nxt:
-                del nxt[k]
-        vec = nxt
-    return True
-
-
 def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
                                 max_degree: int = 8) -> bool:
     """Desk-scale membership oracle for the defining ideal.
@@ -323,18 +268,14 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     m = e.m
     if not e:
         return True
-    components: dict[tuple, dict] = {}
-    for mono, c in e.terms.items():
-        key = (_place_degree(mono), _content(mono))
-        components.setdefault(key, {})[mono] = c
-    for (pdeg_t, content_t), vec in components.items():
+    for (pdeg_t, content_t), vec in _graded_components(e).items():
         pdeg = dict(pdeg_t)
         content = dict(content_t)
         degree = sum(pdeg.values())
         if degree > max_degree:
             raise ValueError(f"component of degree {degree} exceeds the configured limit")
         support = [x for x, c in content.items() if c]
-        echelon: dict = {}
+        echelon = linalg.SparseEchelon()
         for size in range(1, degree + 1):
             for wset in combinations(sorted(support), size):
                 if matroid.is_independent(wset):
@@ -356,8 +297,8 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
                     for mono in _monomials_with(rest_content, rest_pdeg, m):
                         mult = LetterplaceElement(m, {mono: 1}) * gen
                         if mult:
-                            _echelon_insert(echelon, dict(mult.terms))
-        if not _reduces_to_zero(echelon, vec):
+                            echelon.insert(mult.terms)
+        if echelon.reduce(vec):
             return False
     return True
 

@@ -207,3 +207,18 @@ class TestCommands:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["matroid", "nosuch.json", "exchange"]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "-e", "bp(ab; 1:1, 1:1)"], "repeated place in a biproduct"),
+        (["straighten", "--budget", "1", "-e",
+          "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1) ^ bp(ef; 1:1, 2:1)"],
+         "no fixed point within 1 steps"),
+        (["eval", "-e", "1/0 e1"], "division by zero"),
+    ])
+    def test_bad_input_is_one_line_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
