@@ -110,10 +110,16 @@ def tokenize(text: str) -> list[Token]:
 
 # -- parser ------------------------------------------------------------
 
+# Nesting levels a parse may open.  A level costs about six interpreter
+# frames, well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -170,14 +176,17 @@ class Parser:
         return node
 
     def unary(self):
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
         tok = self.peek()
-        if tok.kind == "*":
+        if tok.kind in ("*", "-"):
             self.next()
-            return ("star", self.unary())
-        if tok.kind == "-":
-            self.next()
-            return ("neg", self.unary())
-        return self.primary()
+            node = ("star" if tok.kind == "*" else "neg", self.unary())
+        else:
+            node = self.primary()
+        self.depth -= 1
+        return node
 
     def _number(self) -> Fraction:
         tok = self.expect("int")
@@ -414,10 +423,6 @@ class Evaluator:
         return diamond(h, j, i, x)
 
 
-def format_value(x) -> str:
-    return str(x)
-
-
 def evaluate_text(text: str, env: Environment):
     node = parse(text)
     return Evaluator(env, m=_max_place(node)).eval(node)
@@ -442,7 +447,7 @@ def _report_output(reports: list[Report], as_json: bool, label: str, seed: int) 
 def cmd_eval(args) -> int:
     env = Environment.from_file(args.env) if args.env else Environment(dim=args.dim)
     value = evaluate_text(args.expression, env)
-    print(format_value(value))
+    print(value)
     return 0
 
 
@@ -456,7 +461,7 @@ def cmd_straighten(args) -> int:
     if result.to_letterplace() != value.to_letterplace():
         print("internal error: value not preserved", file=sys.stderr)
         return 1
-    print(format_value(result))
+    print(result)
     return 0
 
 

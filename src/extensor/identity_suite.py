@@ -213,8 +213,7 @@ def verify_capelli(r: int, t: TensorPowerElement) -> Report:
     inst = f"r={r} n={t.dim}" + (" unit-fold0" if unit_fold0 else "")
     rep = _report("capelli-permanental", inst, lhs, rhs)
     if unit_fold0 and r == 2:
-        per_only = d(4, 2, d(5, 3, t)) + d(4, 3, d(5, 2, t))
-        if lhs != per_only:
+        if lhs != per:
             rep.equal = False
             rep.instance += " queues-did-not-vanish"
     return rep

@@ -130,7 +130,8 @@ class SparseEchelon:
     stored row is scaled to 1 at its pivot, its least key, and carries
     its combination: a dict from the labels of inserted vectors to the
     coefficients that give the row.  Elimination always clears the least
-    key of the vector first.
+    key of the vector first.  Integral coefficients are stored as ints,
+    so integer input with unit pivots never leaves integer arithmetic.
     """
 
     __slots__ = ("rows",)
@@ -147,7 +148,7 @@ class SparseEchelon:
         to it, so that ``vec`` equals the result plus the combination
         ``coords`` of labelled vectors.
         """
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        vec = {k: v for k, v in vec.items() if v}
         while vec:
             lead = min(vec)
             hit = self.rows.get(lead)
@@ -176,9 +177,10 @@ class SparseEchelon:
         if not rest:
             return False
         lead = min(rest)
-        scale = rest[lead]
-        combo = {} if label is None else {label: 1 / scale}
-        for k, v in coords.items():
-            combo[k] = -v / scale
-        self.rows[lead] = ({k: v / scale for k, v in rest.items()}, combo)
+        scale = Fraction(rest[lead])
+        combo = {} if label is None else {label: 1}
+        combo.update((k, -v) for k, v in coords.items())
+        self.rows[lead] = tuple(
+            {k: q.numerator if (q := v / scale).denominator == 1 else q
+             for k, v in part.items()} for part in (rest, combo))
         return True

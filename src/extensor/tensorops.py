@@ -49,12 +49,19 @@ class SparseTerms:
     def _shape_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._shape)
 
+    def _coerce(self, value):
+        """``value`` in the ring; the integers refuse a non-integral value."""
+        c = self.ring(value)
+        if self.ring is int and c != value:
+            raise TypeError(f"{value!r} is not an integer")
+        return c
+
     def _clean(self, terms) -> dict:
         """Public-constructor terms: coefficients coerced into the ring,
         zeros dropped, the remaining keys validated."""
         clean = {}
         for key, coeff in (terms or {}).items():
-            c = self.ring(coeff)
+            c = self._coerce(coeff)
             if c:
                 clean[self._valid_key(key)] = c
         return clean
@@ -94,9 +101,7 @@ class SparseTerms:
 
     def scale(self, scalar):
         """Every coefficient times ``scalar``, coerced into the ring."""
-        s = self.ring(scalar)
-        if self.ring is int and s != scalar:
-            raise TypeError(f"scalar {scalar!r} is not an integer")
+        s = self._coerce(scalar)
         return self._like({k: s * c for k, c in self.terms.items()})
 
     __mul__ = __rmul__ = scale

@@ -3,23 +3,25 @@
 The m-th Whitney algebra of a matroid is the quotient of the m-fold
 tensor power of the free skew algebra on the ground set by the slices
 of dependent words; under the place-regrouping isomorphism the defining
-ideal is generated by the biproducts of dependent words.  Normal forms
-straighten an element and drop every standard row product containing a
-dependent row; soundness of the deletion holds by construction, and a
-brute-force linear-algebra membership oracle cross-checks completeness
-on every tested instance.
+ideal is generated by the biproducts of dependent words.  The normal
+form expands an element in the doubly standard basis and drops every
+basis product that contains a dependent row; soundness of the deletion
+holds by construction, and a brute-force linear-algebra membership
+oracle cross-checks completeness on every tested instance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 import random
 
 from . import linalg
-from .bitableau import BitableauElement, standard_expansion, straighten
+from .bitableau import BitableauElement, standard_expansion
+# re-exported: the benchmark tests look it up as whitney.straighten
+from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
 from .letterplace import (LetterplaceElement, _graded_components, expand_raw,
                           phi)
@@ -129,21 +131,32 @@ def make_matroid(doc: Mapping) -> Matroid:
 
     ``{"kind": "uniform", "n": 3, "k": 2}`` or
     ``{"kind": "linear", "letters": [...], "columns": [[...], ...]}``
-    with rationals as strings.
+    with rationals as strings; ``letters`` is optional in both.  A
+    malformed document raises ValueError.
     """
-    kind = doc.get("kind")
+    if not isinstance(doc, Mapping):
+        raise ValueError("a matroid document must be a JSON object")
+    kind, letters = doc.get("kind"), doc.get("letters")
+    if not isinstance(letters, (list, str, type(None))):
+        raise ValueError("matroid field 'letters' must be a list")
     if kind == "uniform":
-        return Matroid.uniform(int(doc["n"]), int(doc["k"]),
-                               doc.get("letters"))
+        n, k = doc.get("n"), doc.get("k")
+        if type(n) is not int or type(k) is not int:
+            raise ValueError("matroid fields 'n' and 'k' must be integers")
+        return Matroid.uniform(n, k, letters)
     if kind == "linear":
-        letters = doc.get("letters")
-        cols = doc["columns"]
+        cols = doc.get("columns")
+        if not (isinstance(cols, list) and all(isinstance(c, list) for c in cols)):
+            raise ValueError("matroid field 'columns' must be a list of lists")
         if letters is None:
             letters = list(DEFAULT_LETTERS[:len(cols)])
-        if len(letters) != len(cols):
-            raise ValueError("letters and columns disagree in length")
-        return Matroid.linear({x: [Fraction(c) for c in col]
-                               for x, col in zip(letters, cols)})
+        if len(letters) != len(cols) or len(set(letters)) != len(letters):
+            raise ValueError("need one distinct letter per column")
+        try:
+            vecs = [[Fraction(c) for c in col] for col in cols]
+        except TypeError as exc:
+            raise ValueError(f"bad column entry: {exc}") from None
+        return Matroid.linear(dict(zip(letters, vecs)))
     raise ValueError(f"unknown matroid kind {kind!r}")
 
 
@@ -166,8 +179,8 @@ class WhitneyElement:
     def m(self) -> int:
         return self.raw.m
 
-    def normal_form(self, order="deglex", budget: int = 10 ** 6) -> BitableauElement:
-        return wh_normal_form(self, order=order, budget=budget)
+    def normal_form(self) -> BitableauElement:
+        return wh_normal_form(self)
 
     def is_zero(self) -> bool:
         return not self.normal_form()
@@ -198,35 +211,23 @@ class WhitneyElement:
         return f"WhitneyElement({self.matroid.name}, {self.raw!r})"
 
 
-def _row_is_dead(row, matroid: Matroid) -> bool:
-    word = row.word
-    if len(set(word)) != len(word):
-        return True
-    return not matroid.is_independent(word)
-
-
 def _drop_dead_rows(x: BitableauElement, matroid: Matroid) -> BitableauElement:
     """``x`` without the products that contain a dependent row."""
     return x._like({rows: c for rows, c in x.terms.items()
-                    if not any(_row_is_dead(r, matroid) for r in rows)})
+                    if all(matroid.is_independent_word(r.word) for r in rows)})
 
 
-def wh_normal_form(e: WhitneyElement, order="deglex",
-                   budget: int = 10 ** 6) -> BitableauElement:
-    """Straighten, delete dependent rows, and express what is left in
-    the doubly standard basis, deleting dependent rows once more.
+def wh_normal_form(e: WhitneyElement) -> BitableauElement:
+    """Expand in the doubly standard basis and delete every product
+    that contains a dependent row.
 
     Every deleted product contains a dependent-word biproduct, which is
     a generator of the defining ideal, so the class is preserved; the
-    word-side rewrite alone can park ideal mass in products whose rows
-    are all independent, which the final basis expansion flushes out.
-    Two elements are declared equal exactly when their normal forms
-    coincide.
+    surviving products are the doubly standard products whose rows are
+    all independent.  Two elements are declared equal exactly when
+    their normal forms coincide.
     """
-    b = BitableauElement.from_letterplace(e.raw)
-    s = straighten(b, order=order, budget=budget)
-    residue = _drop_dead_rows(s, e.matroid).to_letterplace()
-    return _drop_dead_rows(standard_expansion(residue), e.matroid)
+    return _drop_dead_rows(standard_expansion(e.raw), e.matroid)
 
 
 # -- brute-force ideal membership -------------------------------------
@@ -252,8 +253,7 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
                 yield [(x, p) for p in places] + tail
 
     for seq in rec(0, caps):
-        vars_sorted = tuple(sorted(((x, p) for x, p in seq), key=lambda v: (v[1], v[0])))
-        yield vars_sorted
+        yield tuple(sorted(seq, key=lambda v: (v[1], v[0])))
 
 
 def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
@@ -266,8 +266,6 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     elimination.  Independent of the straightening route.
     """
     m = e.m
-    if not e:
-        return True
     for (pdeg_t, content_t), vec in _graded_components(e).items():
         pdeg = dict(pdeg_t)
         content = dict(content_t)
@@ -283,12 +281,11 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
                 rest_content = dict(content)
                 for x in wset:
                     rest_content[x] -= 1
-                if any(c < 0 for c in rest_content.values()):
-                    continue
-                for comp in _compositions(size, m):
-                    gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
-                    if any(gen_deg.get(p, 0) > pdeg.get(p, 0) for p in gen_deg):
+                for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
+                                       for p in range(1, m + 1))):
+                    if sum(comp) != size:
                         continue
+                    gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
                     gen = expand_raw(wset, gen_deg, m)
                     if not gen:
                         continue
@@ -301,15 +298,6 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
         if echelon.reduce(vec):
             return False
     return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # -- exchange relations ------------------------------------------------

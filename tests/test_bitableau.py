@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
-                                _first_violation, is_doubly_standard,
-                                is_standard, shuffle_identity_sides,
-                                standard_expansion, straighten)
+                                _first_violation, _standard_candidates,
+                                is_doubly_standard, is_standard,
+                                shuffle_identity_sides, standard_expansion,
+                                straighten)
 from extensor.letterplace import Biproduct, make_biproduct
 
 LETTERS = "abcdef"
@@ -199,3 +202,40 @@ class TestStandardExpansion:
         assert exp.to_letterplace() == b.to_letterplace()
         assert all(is_doubly_standard(rows) for rows in exp.terms)
         assert any(len(rows) == 1 for rows in exp.terms)
+
+
+def _all_row_products(content: dict, pdeg: dict):
+    """Every sequence of rows, each a strictly increasing word over a
+    multiset of places, that uses up ``content`` and ``pdeg`` exactly."""
+    if not any(pdeg.values()):
+        yield ()
+        return
+    letters = sorted(x for x, c in content.items() if c)
+    places = sorted(p for p, q in pdeg.items() for _ in range(q))
+    for length in range(1, len(places) + 1):
+        for word in combinations(letters, length):
+            for pick in set(combinations(places, length)):
+                rest_c = dict(content)
+                for x in word:
+                    rest_c[x] -= 1
+                rest_p = dict(pdeg)
+                for p in pick:
+                    rest_p[p] -= 1
+                degrees = tuple((p, pick.count(p)) for p in sorted(set(pick)))
+                for tail in _all_row_products(rest_c, rest_p):
+                    yield (Biproduct(word, degrees),) + tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 3)), max_size=5))
+def test_shape_first_candidates_match_brute_force(variables):
+    content: dict = {}
+    pdeg: dict = {}
+    for x, p in variables:
+        content[x] = content.get(x, 0) + 1
+        pdeg[p] = pdeg.get(p, 0) + 1
+    got = list(_standard_candidates(content, pdeg))
+    assert len(got) == len(set(got))
+    want = {rows for rows in _all_row_products(content, pdeg)
+            if is_doubly_standard(rows)}
+    assert set(got) == want

@@ -222,3 +222,40 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "-e", "(" * 3000 + "e1" + ")" * 3000],
+        ["eval", "--expression=" + "-" * 3000 + "e1"],
+    ], ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_is_one_line_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expression nested deeper than")
+        assert captured.err.count("\n") == 1
+
+    def test_nesting_up_to_the_limit_parses(self):
+        from extensor.cli import MAX_DEPTH
+        assert parse("(" * MAX_DEPTH + "e1" + ")" * MAX_DEPTH) == ("name", "e1")
+        assert parse("-" * MAX_DEPTH + "e1")[0] == "neg"
+        with pytest.raises(ParseError):
+            parse("-" * (MAX_DEPTH + 1) + "e1")
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        "uniform",
+        {"kind": "uniform"},
+        {"kind": "uniform", "n": "3", "k": 2},
+        {"kind": "uniform", "n": 3, "k": 2, "letters": 5},
+        {"kind": "linear", "columns": 5},
+        {"kind": "linear", "columns": [[None]]},
+        {"kind": "linear", "columns": [[1, 0], [0, 1]], "letters": ["a", "a"]},
+    ])
+    def test_malformed_matroid_is_one_line_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["matroid", str(path), "exchange"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from extensor.bitableau import BitableauElement
 from extensor.exterior import ExteriorElement
-from extensor.letterplace import (FreeTensorElement, LetterplaceElement,
-                                  make_biproduct)
+from extensor.letterplace import (Biproduct, FreeTensorElement,
+                                  LetterplaceElement, make_biproduct)
 from extensor.tensor_power import TensorPowerElement
 
 LETTERS = "abcd"
@@ -153,3 +153,15 @@ def test_integer_classes_refuse_fractional_scalars():
     with pytest.raises(TypeError):
         x.scale(Fraction(1, 2))
     assert Fraction(4, 2) * x == x.scale(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: LetterplaceElement(1, {(("a", 1),): c}),
+    lambda c: FreeTensorElement(1, {(("a",),): c}),
+    lambda c: BitableauElement(1, {(Biproduct(("a",), ((1, 1),)),): c}),
+])
+def test_integer_constructors_refuse_fractional_coefficients(build):
+    for coeff in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            build(coeff)
+    assert build(Fraction(4, 2)) == build(2)

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extensor.bitableau import _first_violation
+from extensor.bitableau import (BitableauElement, _first_violation,
+                                standard_expansion, straighten)
 from extensor.letterplace import (LetterplaceElement, expand_raw, phi,
                                   polarize, polarize_divided)
 from extensor.tensor_power import TensorPowerElement, diamond
@@ -303,3 +305,90 @@ class TestRepresent:
             seq = [(u, 1), (v, 2), (w, 3)]
             e = LetterplaceElement.from_vars(3, seq)
             assert wh_normal_form(WhitneyElement(m, e))
+
+
+# -- properties of the normal form ------------------------------------
+
+FANO_LINES = [set(line) for line in
+              ("abc", "ade", "afg", "bdf", "beg", "cdg", "cef")]
+
+
+def fano_matroid():
+    """The Fano plane: rank 3, its seven lines the dependent triples.
+    Not representable over the rationals."""
+    def rank_fn(subset):
+        if len(subset) == 3 and subset in FANO_LINES:
+            return 2
+        return min(len(subset), 3)
+    return Matroid("abcdefg", rank_fn, name="Fano")
+
+
+MATROIDS = [Matroid.uniform(3, 2), Matroid.uniform(4, 2), Matroid.uniform(4, 3),
+            six_point_matroid(), fano_matroid()]
+
+
+@st.composite
+def whitney_elements(draw, matroid, m):
+    """Up to two random monomials plus up to two multiples of ideal
+    generators, so that both members and non-members come up."""
+    variables = st.tuples(st.sampled_from(matroid.ground), st.integers(1, m))
+    coeffs = st.integers(-3, 3)
+    out = LetterplaceElement.zero(m)
+    for _ in range(draw(st.integers(0, 2))):
+        seq = draw(st.lists(variables, max_size=4))
+        out = out + LetterplaceElement.from_vars(m, seq, draw(coeffs))
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(st.sampled_from(list(matroid.dependent_sorted_words(4))))
+        degrees: dict = {}
+        for place in draw(st.lists(st.integers(1, m), min_size=len(word),
+                                   max_size=len(word))):
+            degrees[place] = degrees.get(place, 0) + 1
+        cofactor = LetterplaceElement.from_vars(
+            m, draw(st.lists(variables, max_size=1)), draw(coeffs))
+        out = out + cofactor * expand_raw(word, degrees, m)
+    return WhitneyElement(matroid, out)
+
+
+@st.composite
+def matroid_and_elements(draw, count):
+    matroid = draw(st.sampled_from(MATROIDS))
+    m = draw(st.sampled_from((2, 3)))
+    return [draw(whitney_elements(matroid, m)) for _ in range(count)]
+
+
+def two_stage_normal_form(e):
+    """The former route: straighten, delete dependent rows, expand what
+    is left in the doubly standard basis, delete again."""
+    def drop(x):
+        return BitableauElement(x.m, {
+            rows: c for rows, c in x.terms.items()
+            if all(e.matroid.is_independent(r.word) for r in rows)})
+    s = drop(straighten(BitableauElement.from_letterplace(e.raw)))
+    return drop(standard_expansion(s.to_letterplace()))
+
+
+class TestNormalFormProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(matroid_and_elements(1))
+    def test_equals_the_two_stage_route(self, elements):
+        (e,) = elements
+        assert wh_normal_form(e) == two_stage_normal_form(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matroid_and_elements(1))
+    def test_zero_exactly_on_the_ideal(self, elements):
+        (e,) = elements
+        assert (not wh_normal_form(e)) == ideal_membership_bruteforce(e.raw, e.matroid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matroid_and_elements(1))
+    def test_idempotent(self, elements):
+        (e,) = elements
+        nf = wh_normal_form(e)
+        assert wh_normal_form(WhitneyElement(e.matroid, nf.to_letterplace())) == nf
+
+    @settings(max_examples=60, deadline=None)
+    @given(matroid_and_elements(2))
+    def test_additive(self, elements):
+        a, b = elements
+        assert wh_normal_form(a + b) == wh_normal_form(a) + wh_normal_form(b)
