@@ -21,7 +21,7 @@ from math import comb
 from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
                           _graded_components, make_biproduct, phi)
-from .tensorops import IntegerTerms
+from .tensorops import IntegerTerms, _sum_terms
 from .words import position_slices, word_slices
 
 
@@ -80,24 +80,25 @@ class BitableauElement(IntegerTerms):
         if not isinstance(other, BitableauElement):
             return self.scale(other)
         self._check(other)
-        out: dict[Rows, int] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                key = r1 + r2
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._like(out)
+        return self._like(_sum_terms((r1 + r2, c1 * c2)
+                                     for r1, c1 in self.terms.items()
+                                     for r2, c2 in other.terms.items()))
 
     def to_letterplace(self) -> LetterplaceElement:
         """Expand every row product; the value in the letterplace algebra."""
-        out = LetterplaceElement.zero(self.m)
-        for rows, c in self.terms.items():
-            acc = LetterplaceElement.unit(self.m)
-            for row in rows:
-                acc = acc * biproduct_expand(row, self.m)
-                if not acc:
-                    break
-            out = out + acc.scale(c)
-        return out
+        return LetterplaceElement._sum(
+            ((_row_product(rows, self.m), c) for rows, c in self.terms.items()),
+            self.m)
+
+
+def _row_product(rows: Rows, m: int) -> LetterplaceElement:
+    """The product of the expanded rows in the letterplace algebra."""
+    acc = LetterplaceElement.unit(m)
+    for row in rows:
+        acc = acc * biproduct_expand(row, m)
+        if not acc:
+            break
+    return acc
 
 
 def is_standard(rows) -> bool:
@@ -340,10 +341,7 @@ def _component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
     Every caller shares it, so it is only ever reduced against."""
     echelon = linalg.SparseEchelon()
     for rows in _standard_candidates(dict(content_t), dict(pdeg_t)):
-        acc = LetterplaceElement.unit(m)
-        for row in rows:
-            acc = acc * biproduct_expand(row, m)
-        if not echelon.insert(acc.terms, label=rows):
+        if not echelon.insert(_row_product(rows, m).terms, label=rows):
             raise AssertionError("standard products are dependent")
     return echelon
 
@@ -382,25 +380,26 @@ def shuffle_identity_sides(u, v, w, pdeg: dict[int, int], qdeg: dict[int, int],
     u, v, w = tuple(u), tuple(v), tuple(w)
     from .letterplace import expand_raw
 
-    lhs = LetterplaceElement.zero(m)
-    for size in range(len(v) + 1):
-        for sign, (v1, v2) in word_slices(v, (size, len(v) - size)):
-            term = expand_raw(u + v1, pdeg, m) * expand_raw(v2 + w, qdeg, m)
-            lhs = lhs + term.scale(sign)
+    lhs = LetterplaceElement._sum(
+        ((expand_raw(u + v1, pdeg, m) * expand_raw(v2 + w, qdeg, m), sign)
+         for size in range(len(v) + 1)
+         for sign, (v1, v2) in word_slices(v, (size, len(v) - size))), m)
 
-    rhs = LetterplaceElement.zero(m)
     places = sorted(qdeg)
     sign_uv = (-1) ** (len(u) * len(v))
-    for size in range(len(u) + 1):
-        for su, (u1, u2) in word_slices(u, (size, len(u) - size)):
-            for rvec in iproduct(*(range(qdeg[pl] + 1) for pl in places)):
-                extra = dict(zip(places, rvec))
-                cr = 1
-                for pl, r in extra.items():
-                    cr *= comb(pdeg.get(pl, 0) + r, r)
-                newp = {pl: pdeg.get(pl, 0) + extra.get(pl, 0)
-                        for pl in set(pdeg) | set(extra)}
-                newq = {pl: qdeg[pl] - extra.get(pl, 0) for pl in qdeg}
-                term = expand_raw(v + u1, newp, m) * expand_raw(u2 + w, newq, m)
-                rhs = rhs + term.scale(sign_uv * su * cr * (-1) ** len(u2))
-    return lhs, rhs
+
+    def rhs_parts():
+        for size in range(len(u) + 1):
+            for su, (u1, u2) in word_slices(u, (size, len(u) - size)):
+                for rvec in iproduct(*(range(qdeg[pl] + 1) for pl in places)):
+                    extra = dict(zip(places, rvec))
+                    cr = 1
+                    for pl, r in extra.items():
+                        cr *= comb(pdeg.get(pl, 0) + r, r)
+                    newp = {pl: pdeg.get(pl, 0) + extra.get(pl, 0)
+                            for pl in set(pdeg) | set(extra)}
+                    newq = {pl: qdeg[pl] - extra.get(pl, 0) for pl in qdeg}
+                    yield (expand_raw(v + u1, newp, m) * expand_raw(u2 + w, newq, m),
+                           sign_uv * su * cr * (-1) ** len(u2))
+
+    return lhs, LetterplaceElement._sum(rhs_parts(), m)

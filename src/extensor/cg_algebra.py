@@ -17,6 +17,7 @@ from typing import Sequence
 from . import linalg
 from .exterior import (DimensionMismatch, ExteriorElement, Vector, as_vector,
                        make_extensor, substitute)
+from .tensorops import _sum_terms
 from .words import merge_words
 
 
@@ -67,22 +68,17 @@ class PeanoSpace:
         sa, sb = a.step(), b.step()
         if sa + sb < n:
             return ExteriorElement.zero(n)
-        out = ExteriorElement.zero(n)
         if side == "left":
-            for (w1, w2), c in a.slice((n - sb, sa + sb - n)).terms.items():
-                scal = self.bracket_element(
-                    ExteriorElement.monomial(n, w1).wedge(b))
-                if scal:
-                    out = out + ExteriorElement.monomial(n, w2, c * scal)
+            images = ((w2, c * self.bracket_element(
+                           ExteriorElement.monomial(n, w1).wedge(b)))
+                      for (w1, w2), c in a.slice((n - sb, sa + sb - n)).terms.items())
         elif side == "right":
-            for (w1, w2), c in b.slice((sa + sb - n, n - sa)).terms.items():
-                scal = self.bracket_element(
-                    a.wedge(ExteriorElement.monomial(n, w2)))
-                if scal:
-                    out = out + ExteriorElement.monomial(n, w1, c * scal)
+            images = ((w1, c * self.bracket_element(
+                           a.wedge(ExteriorElement.monomial(n, w2))))
+                      for (w1, w2), c in b.slice((sa + sb - n, n - sa)).terms.items())
         else:
             raise ValueError(f"unknown meet side {side!r}")
-        return out
+        return ExteriorElement._trusted(_sum_terms(images), n)
 
     def dot_meet(self, a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
         """Meet variant slicing the first argument as (a+b-n, n-b).
@@ -98,12 +94,9 @@ class PeanoSpace:
         sa, sb = a.step(), b.step()
         if sa + sb < n:
             return ExteriorElement.zero(n)
-        out = ExteriorElement.zero(n)
-        for (w1, w2), c in a.slice((sa + sb - n, n - sb)).terms.items():
-            scal = self.bracket_element(ExteriorElement.monomial(n, w2).wedge(b))
-            if scal:
-                out = out + ExteriorElement.monomial(n, w1, c * scal)
-        return out
+        return ExteriorElement._trusted(_sum_terms(
+            (w1, c * self.bracket_element(ExteriorElement.monomial(n, w2).wedge(b)))
+            for (w1, w2), c in a.slice((sa + sb - n, n - sb)).terms.items()), n)
 
     def meet_chain(self, first: ExteriorElement, *rest: ExteriorElement,
                    side: str = "left") -> ExteriorElement:
@@ -160,13 +153,11 @@ class OrderedBasis:
         if a.dim != n:
             raise DimensionMismatch("element of another dimension")
         in_basis = substitute(a, self._to_basis)
-        full = tuple(range(1, n + 1))
-        out: dict = {}
-        for word, c in in_basis.terms.items():
-            comp = tuple(i for i in full if i not in word)
-            sign, _ = merge_words(word, comp)
-            out[comp] = out.get(comp, Fraction(0)) + sign * c
-        return substitute(ExteriorElement(n, out), self._from_basis)
+        full = range(1, n + 1)
+        starred = {comp: merge_words(word, comp)[0] * c
+                   for word, c in in_basis.terms.items()
+                   for comp in [tuple(i for i in full if i not in word)]}
+        return substitute(ExteriorElement._trusted(starred, n), self._from_basis)
 
     def star_tensor(self, t) -> "TensorPowerElement":
         """The star applied to every fold of a tensor power element."""

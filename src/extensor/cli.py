@@ -266,16 +266,21 @@ def parse(text: str):
 # -- evaluation --------------------------------------------------------
 
 def _max_place(node) -> int:
-    if isinstance(node, list):
-        return max((_max_place(x) for x in node), default=1)
-    if not isinstance(node, tuple) or not node:
-        return 1
-    if node[0] == "lp":
-        return node[2]
-    if node[0] == "bp":
-        return max((p for p, _ in node[2]), default=1)
-    return max((_max_place(x) for x in node[1:]
-                if isinstance(x, (tuple, list))), default=1)
+    """The largest place named in the tree; 1 where a subtree names none."""
+    places, stack = [], [node]
+    while stack:
+        x = stack.pop()
+        if x[0] == "lp":
+            places.append(x[2])
+        elif x[0] == "bp":
+            places.append(max((p for p, _ in x[2]), default=1))
+        else:
+            children = [y for y in (x if isinstance(x, list) else x[1:])
+                        if isinstance(y, (tuple, list))]
+            stack.extend(children)
+            if not children:
+                places.append(1)
+    return max(places)
 
 
 class Environment:
@@ -297,11 +302,30 @@ class Environment:
 
     @classmethod
     def from_file(cls, path: str) -> "Environment":
+        """Read ``{"dim": 3, "vectors": {"p": ["1/2", 0, 1]},
+        "integral_scale": "1"}``, every field optional.  A malformed
+        document raises ValueError."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(dim=int(doc.get("dim", 3)),
-                   vectors=doc.get("vectors", {}),
-                   integral_scale=Fraction(doc.get("integral_scale", "1")))
+        if not isinstance(doc, dict):
+            raise ValueError("an environment document must be a JSON object")
+        dim, vectors = doc.get("dim", 3), doc.get("vectors", {})
+        scale = doc.get("integral_scale", "1")
+        if type(dim) is not int or dim < 0:
+            raise ValueError("environment field 'dim' must be an integer >= 0")
+        if not (isinstance(vectors, dict)
+                and all(isinstance(v, list) for v in vectors.values())):
+            raise ValueError("environment field 'vectors' must map names to lists")
+        if type(scale) not in (str, int, float):
+            raise ValueError("environment field 'integral_scale' must be a string or a number")
+        try:
+            return cls(dim, vectors, Fraction(scale))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad environment entry: {exc}") from None
+
+
+# binary operator nodes, ("add", left, right) and so on
+_BINARY = frozenset({"add", "sub", "tensor", "meet", "wedge"})
 
 
 class Evaluator:
@@ -310,11 +334,19 @@ class Evaluator:
         self.m = m
 
     def eval(self, node):
-        kind = node[0]
-        method = getattr(self, f"_eval_{kind}", None)
+        # a left-nested chain such as a + b + c is walked down its left
+        # spine and folded back up, so its length costs no recursion
+        spine = []
+        while node[0] in _BINARY:
+            spine.append(node)
+            node = node[1]
+        method = getattr(self, f"_eval_{node[0]}", None)
         if method is None:
-            raise EvalError(f"cannot evaluate node {kind!r}")
-        return method(node)
+            raise EvalError(f"cannot evaluate node {node[0]!r}")
+        value = method(node)
+        for kind, _, right in reversed(spine):
+            value = getattr(self, f"_op_{kind}")(value, self.eval(right))
+        return value
 
     def _eval_num(self, node):
         return node[1]
@@ -349,11 +381,11 @@ class Evaluator:
     def _eval_neg(self, node):
         return self._scale(self.eval(node[1]), Fraction(-1))
 
-    def _eval_add(self, node):
-        return self._combine(self.eval(node[1]), self.eval(node[2]), 1)
+    def _op_add(self, a, b):
+        return self._combine(a, b, 1)
 
-    def _eval_sub(self, node):
-        return self._combine(self.eval(node[1]), self.eval(node[2]), -1)
+    def _op_sub(self, a, b):
+        return self._combine(a, b, -1)
 
     def _combine(self, a, b, sign):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -363,8 +395,7 @@ class Evaluator:
                 f"cannot add {type(a).__name__} and {type(b).__name__}")
         return a + self._scale(b, Fraction(sign))
 
-    def _eval_wedge(self, node):
-        a, b = self.eval(node[1]), self.eval(node[2])
+    def _op_wedge(self, a, b):
         if isinstance(a, Fraction):
             return self._scale(b, a)
         if isinstance(b, Fraction):
@@ -376,14 +407,12 @@ class Evaluator:
         raise EvalError(
             f"cannot multiply {type(a).__name__} and {type(b).__name__}")
 
-    def _eval_meet(self, node):
-        a, b = self.eval(node[1]), self.eval(node[2])
+    def _op_meet(self, a, b):
         if not (isinstance(a, ExteriorElement) and isinstance(b, ExteriorElement)):
             raise EvalError("meet needs exterior elements")
         return self.env.peano.meet(a, b)
 
-    def _eval_tensor(self, node):
-        a, b = self.eval(node[1]), self.eval(node[2])
+    def _op_tensor(self, a, b):
         folds = []
         for x in (a, b):
             if isinstance(x, TensorPowerElement):
@@ -551,8 +580,7 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: division by zero in {exc}", file=sys.stderr)
         return 2
-    except (ParseError, EvalError, OSError, json.JSONDecodeError, ValueError,
-            StraighteningBudgetExceeded) as exc:
+    except (ValueError, OSError, StraighteningBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

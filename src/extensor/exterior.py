@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .tensorops import SparseTerms, format_terms  # noqa: F401  (re-exported)
+from .tensorops import SparseTerms, _sum_terms
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -82,14 +82,10 @@ class ExteriorElement(SparseTerms):
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The join: bilinear, associative, graded-anticommutative."""
         self._check(other)
-        out: dict[Word, Fraction] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                sign, w = merge_words(u, v)
-                if sign == 0:
-                    continue
-                out[w] = out.get(w, 0) + sign * cu * cv
-        return self._like(out)
+        return self._like(_sum_terms(
+            (w, sign * cu * cv)
+            for u, cu in self.terms.items() for v, cv in other.terms.items()
+            for sign, w in [merge_words(u, v)] if sign))
 
     __xor__ = wedge
 
@@ -124,12 +120,10 @@ class ExteriorElement(SparseTerms):
         parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError("negative part size")
-        out: dict[tuple[Word, ...], Fraction] = {}
-        for word, c in self.terms.items():
-            if len(word) != sum(parts):
-                continue
-            for sign, blocks in word_slices(word, parts):
-                out[blocks] = out.get(blocks, 0) + sign * c
+        total = sum(parts)
+        out = _sum_terms((blocks, sign * c) for word, c in self.terms.items()
+                         if len(word) == total
+                         for sign, blocks in word_slices(word, parts))
         return TensorPowerElement._trusted(out, self.dim, len(parts))
 
 
@@ -158,15 +152,16 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> Exterio
     if len(images) != a.dim:
         raise DimensionMismatch("need one image per basis vector")
     tdim = images[0].dim if images else a.dim
-    out = ExteriorElement.zero(tdim)
-    for word, c in a.terms.items():
+
+    def image(word):
         acc = ExteriorElement.unit(tdim)
         for i in word:
             acc = acc.wedge(images[i - 1])
             if not acc:
                 break
-        out = out + c * acc
-    return out
+        return acc
+
+    return ExteriorElement._sum(((image(w), c) for w, c in a.terms.items()), tdim)
 
 
 def extensor_span(a: ExteriorElement) -> list[Vector]:

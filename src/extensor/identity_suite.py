@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product as iproduct
 
 from .cg_algebra import OrderedBasis, PeanoSpace, standard_basis
 from .exterior import ExteriorElement, extensor_span, make_extensor
 from .tensor_power import TensorPowerElement, contains, diamond
+from .tensorops import _sum_terms
 from . import linalg
 
 
@@ -59,12 +61,10 @@ def rand_extensor(rng, n, step) -> ExteriorElement:
 
 
 def rand_tensor(rng, n, m, nterms=2) -> TensorPowerElement:
-    out = TensorPowerElement.zero(n, m)
-    for _ in range(nterms):
-        key = tuple(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-                    for _ in range(m))
-        out = out + TensorPowerElement(n, m, {key: rand_fraction(rng)})
-    return out
+    keys = (tuple(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                  for _ in range(m)) for _ in range(nterms))
+    # each key is drawn just before its coefficient
+    return TensorPowerElement(n, m, _sum_terms((key, rand_fraction(rng)) for key in keys))
 
 
 def rand_basis(rng, n) -> OrderedBasis:
@@ -141,22 +141,20 @@ def verify_distributive(a, b, cexts, ps: PeanoSpace) -> Report:
     if any(q <= 0 for q in qs) or s + kk != sum(qs):
         raise ValueError("step constraints violated")
     lhs = scalar_of(ps.meet(a.wedge(b), ps.meet_chain(*cexts)))
-    total = ExteriorElement.zero(n)
-    for ivec in iproduct(*(range(q + 1) for q in qs)):
-        if sum(ivec) != s:
-            continue
-        eps = (-1) ** sum(ivec[h] * (qs[k] - ivec[k])
-                          for h in range(r) for k in range(h))
-        sl = b.slice(tuple(q - i for q, i in zip(qs, ivec)))
-        inner = ExteriorElement.zero(n)
-        for key, c in sl.terms.items():
-            chain = None
-            for w, cext in zip(key, cexts):
-                piece = ExteriorElement.monomial(n, w).wedge(cext)
-                chain = piece if chain is None else ps.meet(chain, piece)
-            inner = inner + c * chain
-        total = total + eps * inner
-    rhs = scalar_of(ps.meet(a, total))
+
+    def parts():
+        for ivec in iproduct(*(range(q + 1) for q in qs)):
+            if sum(ivec) != s:
+                continue
+            eps = (-1) ** sum(ivec[h] * (qs[k] - ivec[k])
+                              for h in range(r) for k in range(h))
+            sl = b.slice(tuple(q - i for q, i in zip(qs, ivec)))
+            for key, c in sl.terms.items():
+                pieces = (ExteriorElement.monomial(n, w).wedge(cext)
+                          for w, cext in zip(key, cexts))
+                yield reduce(ps.meet, pieces), eps * c
+
+    rhs = scalar_of(ps.meet(a, ExteriorElement._sum(parts(), n)))
     return _report("alternative-laws-distributive",
                    f"n={n} r={r} steps=({s},{kk}) q={tuple(qs)}", lhs, rhs)
 

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import tensorops
-from .tensorops import IntegerTerms
+from .tensorops import IntegerTerms, _sum_terms
 from .words import sort_with_sign, word_slices
 
 LPVar = tuple[str, int]          # (letter, place)
@@ -68,23 +68,22 @@ class LetterplaceElement(IntegerTerms):
 
     @classmethod
     def from_vars(cls, m: int, seq: Iterable[LPVar], coeff: int = 1) -> "LetterplaceElement":
-        sign, mono = lp_normalize(seq)
-        if sign == 0:
-            return cls.zero(m)
-        return cls(m, {mono: sign * coeff})
+        return cls(m, _sum_products([(seq, coeff)]))
 
     def __mul__(self, other):
         if not isinstance(other, LetterplaceElement):
             return self.scale(other)
         self._check(other)
-        out: dict[LPMonomial, int] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                sign, mono = lp_normalize(u + v)
-                if sign == 0:
-                    continue
-                out[mono] = out.get(mono, 0) + sign * cu * cv
-        return self._like(out)
+        return self._like(_sum_products(
+            (u + v, cu * cv)
+            for u, cu in self.terms.items() for v, cv in other.terms.items()))
+
+
+def _sum_products(products) -> dict:
+    """Summed terms of the ``(seq, coeff)`` products of generators, each
+    put in canonical form; vanishing products are skipped."""
+    return _sum_terms((mono, sign * c) for seq, c in products
+                      for sign, mono in [lp_normalize(seq)] if sign)
 
 
 def _graded_components(e: LetterplaceElement) -> dict:
@@ -111,15 +110,10 @@ def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     """
     if not (1 <= k <= e.m and 1 <= h <= e.m):
         raise ValueError("place out of range")
-    out = LetterplaceElement.zero(e.m)
-    for mono, c in e.terms.items():
-        for pos, (letter, place) in enumerate(mono):
-            if place != h:
-                continue
-            seq = list(mono)
-            seq[pos] = (letter, k)
-            out = out + LetterplaceElement.from_vars(e.m, seq, c)
-    return out
+    products = ((mono[:pos] + ((letter, k),) + mono[pos + 1:], c)
+                for mono, c in e.terms.items()
+                for pos, (letter, place) in enumerate(mono) if place == h)
+    return e._like(_sum_products(products))
 
 
 def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -137,17 +131,12 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
         raise ValueError("place out of range")
     if h == 0:
         return e
-    out = LetterplaceElement.zero(e.m)
-    for mono, c in e.terms.items():
-        positions = [p for p, (_, place) in enumerate(mono) if place == i]
-        if len(positions) < h:
-            continue
-        for chosen in combinations(positions, h):
-            seq = list(mono)
-            for p in chosen:
-                seq[p] = (seq[p][0], j)
-            out = out + LetterplaceElement.from_vars(e.m, seq, c)
-    return out
+    products = (([(x, j) if p in chosen else (x, place)
+                  for p, (x, place) in enumerate(mono)], c)
+                for mono, c in e.terms.items()
+                for chosen in combinations(
+                    [p for p, (_, place) in enumerate(mono) if place == i], h))
+    return e._like(_sum_products(products))
 
 
 # -- biproducts ------------------------------------------------------
@@ -203,11 +192,10 @@ def make_biproduct(word: Sequence[str], degrees) -> tuple[int, Biproduct | None]
 def _expand_biproduct(word: LetterWord, degrees, m: int) -> LetterplaceElement:
     sizes = tuple(q for _, q in degrees)
     places = tuple(p for p, _ in degrees)
-    out = LetterplaceElement.zero(m)
-    for sign, blocks in word_slices(word, sizes):
-        seq = [(x, places[t]) for t, block in enumerate(blocks) for x in block]
-        out = out + LetterplaceElement.from_vars(m, seq, sign)
-    return out
+    products = (([(x, places[t]) for t, block in enumerate(blocks) for x in block], sign)
+                for sign, blocks in word_slices(word, sizes))
+    # the public constructor checks the places once per cached expansion
+    return LetterplaceElement(m, _sum_products(products))
 
 
 def biproduct_expand(b: Biproduct, m: int) -> LetterplaceElement:
@@ -274,19 +262,13 @@ def phi(e: LetterplaceElement) -> FreeTensorElement:
     Sign-free on canonical monomials because the canonical order is
     place-major.
     """
-    out: dict[tuple[LetterWord, ...], int] = {}
-    for mono, c in e.terms.items():
-        folds = [[] for _ in range(e.m)]
-        for letter, place in mono:
-            folds[place - 1].append(letter)
-        key = tuple(tuple(f) for f in folds)
-        out[key] = out.get(key, 0) + c
-    return FreeTensorElement._trusted(out, e.m)
+    places = range(1, e.m + 1)
+    return FreeTensorElement._trusted(
+        {tuple(tuple(x for x, i in mono if i == p) for p in places): c
+         for mono, c in e.terms.items()}, e.m)
 
 
 def phi_inv(t: FreeTensorElement) -> LetterplaceElement:
-    out: dict[LPMonomial, int] = {}
-    for key, c in t.terms.items():
-        mono = tuple((x, i) for i, w in enumerate(key, start=1) for x in w)
-        out[mono] = out.get(mono, 0) + c
-    return LetterplaceElement._trusted(out, t.m)
+    return LetterplaceElement._trusted(
+        {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
+         for key, c in t.terms.items()}, t.m)

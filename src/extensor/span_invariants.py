@@ -56,10 +56,9 @@ class MinimalRepresentation:
         return [r for _, r in self.pairs]
 
     def tensor(self) -> TensorPowerElement:
-        out = TensorPowerElement.zero(self.dim, 2)
-        for left, right in self.pairs:
-            out = out + TensorPowerElement.from_elements([left, right])
-        return out
+        return TensorPowerElement._sum(
+            ((TensorPowerElement.from_elements(pair), 1) for pair in self.pairs),
+            self.dim, 2)
 
 
 def minimal_representation(t: TensorPowerElement) -> MinimalRepresentation:
@@ -90,10 +89,8 @@ def right_span(t: TensorPowerElement) -> list[ExteriorElement]:
 def geometric_product_sum(a: ExteriorElement, b: ExteriorElement) -> TensorPowerElement:
     """sum over h of diamond(h, 2, 1, a (x) b)."""
     t = TensorPowerElement.from_elements([a, b])
-    out = TensorPowerElement.zero(a.dim, 2)
-    for h in range(a.step() + 1):
-        out = out + diamond(h, 2, 1, t)
-    return out
+    return TensorPowerElement._sum(
+        ((diamond(h, 2, 1, t), 1) for h in range(a.step() + 1)), a.dim, 2)
 
 
 def dagger_representation(a_vectors: Sequence, b_vectors: Sequence,
@@ -159,10 +156,7 @@ class GeneralizedHodge:
         coeffs = linalg.solve_combination(self._rows, target)
         if coeffs is None:
             raise ValueError("element outside the left span")
-        out = ExteriorElement.zero(self._rep.dim)
-        for cf, right in zip(coeffs, self._rep.rights):
-            out = out + cf * right
-        return out
+        return ExteriorElement._sum(zip(self._rep.rights, coeffs), self._rep.dim)
 
 
 def generalized_hodge(rep: MinimalRepresentation) -> GeneralizedHodge:
@@ -189,11 +183,8 @@ def pairing_beta(t: TensorPowerElement, x: ExteriorElement, y: ExteriorElement,
         raise ValueError("zero factor")
     comp = {k: v for k, v in t.terms.items() if len(k[0]) == cstep}
     lead = min(c.terms, key=lambda w: (len(w), w))
-    d_terms: dict[Word, Fraction] = {}
-    for (lw, rw), v in comp.items():
-        if lw == lead:
-            d_terms[rw] = v / c.terms[lead]
-    d = ExteriorElement(t.dim, d_terms)
+    d = ExteriorElement(t.dim, {rw: v / c.terms[lead]
+                                for (lw, rw), v in comp.items() if lw == lead})
     cd = TensorPowerElement.from_elements([c, d])
     if cd.terms != comp:
         raise ValueError("factor pair does not match the tensor component")

@@ -64,11 +64,8 @@ class TensorPowerElement(SparseTerms):
         for f in factors:
             if f.dim != dim:
                 raise DimensionMismatch("mixed dimensions in tensor factors")
-            nxt: dict[tuple[Word, ...], Fraction] = {}
-            for key, c in terms.items():
-                for w, cw in f.terms.items():
-                    nxt[key + (w,)] = c * cw
-            terms = nxt
+            terms = {key + (w,): c * cw
+                     for key, c in terms.items() for w, cw in f.terms.items()}
         return cls._trusted(terms, dim, len(factors))
 
     def __mul__(self, other):
@@ -80,11 +77,10 @@ class TensorPowerElement(SparseTerms):
 
     def map_folds(self, fn) -> "TensorPowerElement":
         """Apply a linear map to every fold and expand the products."""
-        out = TensorPowerElement.zero(self.dim, self.m)
-        for key, c in self.terms.items():
-            images = [fn(ExteriorElement.monomial(self.dim, w)) for w in key]
-            out = out + TensorPowerElement.from_elements(images).scale(c)
-        return out
+        return TensorPowerElement._sum(
+            ((TensorPowerElement.from_elements(
+                [fn(ExteriorElement.monomial(self.dim, w)) for w in key]), c)
+             for key, c in self.terms.items()), self.dim, self.m)
 
 
 def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:

@@ -8,6 +8,13 @@ m-tuples of words to coefficients.  The product is the Z2-graded one;
 the raising and lowering geometric products move a degree-h slice of
 the source fold into the destination fold with the Koszul sign of the
 folds crossed on the way.
+
+Summation lives here too.  Every linear and bilinear map in the package
+is defined on basis keys and extended linearly; it hands its
+(key, coefficient) images to :func:`_sum_terms`, or its
+(element, coefficient) parts to :meth:`SparseTerms._sum`, and the
+trusted constructor drops the keys that cancelled.  The two kernels
+return such sums as plain dicts, for their callers' ``_like``.
 """
 
 from __future__ import annotations
@@ -41,6 +48,22 @@ class SparseTerms:
             setattr(out, name, value)
         out.terms = {k: c for k, c in terms.items() if c}
         return out
+
+    @classmethod
+    def _sum(cls, parts, *shape):
+        """Trusted ``sum(c * x)`` over the ``(x, c)`` parts, each of this
+        class; a part of another shape raises as ``+`` does."""
+        out = cls._trusted({}, *shape)
+
+        def pairs():
+            for x, c in parts:
+                out._check(x)
+                if c == 1:      # spares a Fraction product per term
+                    yield from x.terms.items()
+                else:
+                    yield from ((k, c * v) for k, v in x.terms.items())
+
+        return out._like(_sum_terms(pairs()))
 
     def _like(self, terms: dict):
         """Trusted element of the same class and shape as ``self``."""
@@ -137,6 +160,19 @@ class IntegerTerms(SparseTerms):
         self.terms = self._clean(terms)
 
 
+def _sum_terms(pairs) -> dict:
+    """Sum (key, coefficient) pairs into one dict; keys that cancel stay
+    at zero for the trusted constructor to drop."""
+    out: dict = {}
+    for key, c in pairs:
+        # a new key takes c itself: 0 + c would cost a Fraction sum
+        if key in out:
+            out[key] += c
+        else:
+            out[key] = c
+    return out
+
+
 def fold_sort_key(key):
     """Print order of m-fold keys: fold by fold, shorter words first."""
     return tuple((len(w), w) for w in key)
@@ -165,29 +201,23 @@ def format_terms(items, key_str) -> str:
 
 
 def graded_product_terms(a_terms: dict, b_terms: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a_terms.items():
-        for kb, cb in b_terms.items():
-            koszul = sum(len(ka[i]) * len(kb[j])
-                         for i in range(len(ka)) for j in range(i))
-            sign = -1 if koszul % 2 else 1
-            folds = []
-            for u, v in zip(ka, kb):
-                s, w = merge_words(u, v)
-                if s == 0:
-                    folds = None
-                    break
-                sign *= s
-                folds.append(w)
-            if folds is None:
-                continue
-            key = tuple(folds)
-            c = out.get(key, 0) + sign * ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
+    def pairs():
+        for ka, ca in a_terms.items():
+            for kb, cb in b_terms.items():
+                koszul = sum(len(ka[i]) * len(kb[j])
+                             for i in range(len(ka)) for j in range(i))
+                sign = -1 if koszul % 2 else 1
+                folds = []
+                for u, v in zip(ka, kb):
+                    s, w = merge_words(u, v)
+                    if s == 0:
+                        break
+                    sign *= s
+                    folds.append(w)
+                else:
+                    yield tuple(folds), sign * ca * cb
+
+    return _sum_terms(pairs())
 
 
 def diamond_terms(terms: dict, h: int, dest: int, src: int, m: int) -> dict:
@@ -206,42 +236,28 @@ def diamond_terms(terms: dict, h: int, dest: int, src: int, m: int) -> dict:
     if dest == src:
         if h != 1:
             raise ValueError("diagonal geometric product is defined for h = 1 only")
-        out = {}
-        for key, c in terms.items():
-            v = c * len(key[src - 1])
-            if v:
-                out[key] = v
-        return out
+        return {key: c * len(key[src - 1]) for key, c in terms.items()}
     if h == 0:
         return dict(terms)
 
     lo, hi = min(dest, src), max(dest, src)
-    out: dict = {}
-    for key, c in terms.items():
-        w = key[src - 1]
-        a = len(w)
-        if h > a:
-            continue
-        between = sum(len(key[k]) for k in range(lo, hi - 1))
-        pref = -1 if (h * between) % 2 else 1
-        parts = (a - h, h) if src < dest else (h, a - h)
-        moved_at = 1 if src < dest else 0
-        for sl_sign, blocks in word_slices(w, parts):
-            moved = blocks[moved_at]
-            kept = blocks[1 - moved_at]
-            if src < dest:
-                msign, merged = merge_words(moved, key[dest - 1])
-            else:
-                msign, merged = merge_words(key[dest - 1], moved)
-            if msign == 0:
+    raising = src < dest
+
+    def pairs():
+        for key, c in terms.items():
+            w = key[src - 1]
+            if h > len(w):
                 continue
-            folds = list(key)
-            folds[src - 1] = kept
-            folds[dest - 1] = merged
-            nk = tuple(folds)
-            v = out.get(nk, 0) + c * pref * sl_sign * msign
-            if v:
-                out[nk] = v
-            elif nk in out:
-                del out[nk]
-    return out
+            between = sum(len(key[k]) for k in range(lo, hi - 1))
+            pref = -1 if (h * between) % 2 else 1
+            parts = (len(w) - h, h) if raising else (h, len(w) - h)
+            for sl_sign, blocks in word_slices(w, parts):
+                kept, moved = blocks if raising else blocks[::-1]
+                msign, merged = (merge_words(moved, key[dest - 1]) if raising
+                                 else merge_words(key[dest - 1], moved))
+                if msign:
+                    folds = list(key)
+                    folds[src - 1], folds[dest - 1] = kept, merged
+                    yield tuple(folds), c * pref * sl_sign * msign
+
+    return _sum_terms(pairs())

@@ -5,9 +5,10 @@ tensor power of the free skew algebra on the ground set by the slices
 of dependent words; under the place-regrouping isomorphism the defining
 ideal is generated by the biproducts of dependent words.  The normal
 form expands an element in the doubly standard basis and drops every
-basis product that contains a dependent row; soundness of the deletion
-holds by construction, and a brute-force linear-algebra membership
-oracle cross-checks completeness on every tested instance.
+basis product that contains a dependent row.  The deletion is sound by
+construction but not complete: some members of the ideal keep a
+nonzero normal form, so the brute-force linear-algebra membership
+oracle is the test of zero.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .bitableau import BitableauElement, standard_expansion
 # re-exported: the benchmark tests look it up as whitney.straighten
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
-from .letterplace import (LetterplaceElement, _graded_components, expand_raw,
-                          phi)
+from .letterplace import (LetterplaceElement, _graded_components,
+                          _sum_products, expand_raw, phi)
 from .tensor_power import TensorPowerElement
 from .words import word_slices
 
@@ -154,7 +155,7 @@ def make_matroid(doc: Mapping) -> Matroid:
             raise ValueError("need one distinct letter per column")
         try:
             vecs = [[Fraction(c) for c in col] for col in cols]
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"bad column entry: {exc}") from None
         return Matroid.linear(dict(zip(letters, vecs)))
     raise ValueError(f"unknown matroid kind {kind!r}")
@@ -163,7 +164,10 @@ def make_matroid(doc: Mapping) -> Matroid:
 class WhitneyElement:
     """A letterplace representative of a Whitney algebra element.
 
-    Equality is equality of normal forms over the same matroid.
+    Equality is equality of normal forms over the same matroid: equal
+    normal forms mean equal classes, but the normal form is not
+    complete, so two equal classes can compare unequal (see
+    :func:`wh_normal_form`).
     """
 
     __slots__ = ("matroid", "raw")
@@ -224,8 +228,11 @@ def wh_normal_form(e: WhitneyElement) -> BitableauElement:
     Every deleted product contains a dependent-word biproduct, which is
     a generator of the defining ideal, so the class is preserved; the
     surviving products are the doubly standard products whose rows are
-    all independent.  Two elements are declared equal exactly when
-    their normal forms coincide.
+    all independent.  The deletion is sound, not complete: equal normal
+    forms mean equal classes, but some members of the ideal keep a
+    nonzero normal form, such as ``(bcf|1^3)(a|2)`` when ``bcf`` is
+    dependent in rank 3.  :func:`ideal_membership_bruteforce` decides
+    membership.
     """
     return _drop_dead_rows(standard_expansion(e.raw), e.matroid)
 
@@ -316,15 +323,11 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
             raise ValueError(f"word {''.join(word)} is not independent")
     p, q = len(u), len(v)
     k = p + q - matroid.rank(set(u) | set(v))
-    lhs = LetterplaceElement.zero(2)
-    for sign, (v1, v2) in word_slices(v, (k, q - k)):
-        seq = [(x, 1) for x in u + v2] + [(x, 2) for x in v1]
-        lhs = lhs + LetterplaceElement.from_vars(2, seq, sign)
-    rhs = LetterplaceElement.zero(2)
-    for sign, (u1, u2) in word_slices(u, (p - k, k)):
-        seq = [(x, 1) for x in u1 + v] + [(x, 2) for x in u2]
-        rhs = rhs + LetterplaceElement.from_vars(2, seq, sign)
-    return lhs, rhs
+    lhs = _sum_products(([(x, 1) for x in u + v2] + [(x, 2) for x in v1], sign)
+                        for sign, (v1, v2) in word_slices(v, (k, q - k)))
+    rhs = _sum_products(([(x, 1) for x in u1 + v] + [(x, 2) for x in u2], sign)
+                        for sign, (u1, u2) in word_slices(u, (p - k, k)))
+    return LetterplaceElement._trusted(lhs, 2), LetterplaceElement._trusted(rhs, 2)
 
 
 def exchange_check(u: Sequence[str], v: Sequence[str], matroid: Matroid) -> bool:
@@ -361,9 +364,7 @@ def represent(images: Mapping[str, Sequence], e: WhitneyElement) -> TensorPowerE
     check_representation(e.matroid, images)
     vecs = {x: as_vector(images[x]) for x in e.matroid.ground}
     dim = len(next(iter(vecs.values()))) if vecs else 0
-    m = e.m
-    out = TensorPowerElement.zero(dim, m)
-    for key, c in phi(e.raw).terms.items():
-        factors = [make_extensor([vecs[x] for x in w], dim) for w in key]
-        out = out + TensorPowerElement.from_elements(factors).scale(c)
-    return out
+    return TensorPowerElement._sum(
+        ((TensorPowerElement.from_elements(
+            [make_extensor([vecs[x] for x in w], dim) for w in key]), c)
+         for key, c in phi(e.raw).terms.items()), dim, e.m)

@@ -250,6 +250,7 @@ class TestCommands:
         {"kind": "linear", "columns": 5},
         {"kind": "linear", "columns": [[None]]},
         {"kind": "linear", "columns": [[1, 0], [0, 1]], "letters": ["a", "a"]},
+        {"kind": "linear", "columns": [[float("inf"), 0], [0, 1]]},
     ])
     def test_malformed_matroid_is_one_line_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -259,3 +260,44 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_long_operator_chain_evaluates(self, capsys):
+        assert main(["eval", "-e", " + ".join(["e1"] * 3000)]) == 0
+        assert capsys.readouterr().out == "3000 e1\n"
+
+    def test_long_chains_of_every_binary_operator(self):
+        assert ev(" - ".join(["e1"] * 3000)) == ExteriorElement.from_vector((-2998, 0, 0))
+        assert not ev(" ^ ".join(["e1"] * 3000))
+        assert ev(" # ".join(["e1"] * 500)).m == 500
+        assert parse(" & ".join(["e1"] * 3000))[0] == "meet"
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        "env",
+        {"vectors": [1]},
+        {"dim": 2, "vectors": {"p": 5}},
+        {"dim": "3"},
+        {"dim": -1},
+        {"dim": True},
+        {"dim": 2, "vectors": {"p": [None, 1]}},
+        {"dim": 2, "vectors": {"p": [1, 2, 3]}},
+        {"integral_scale": [1]},
+        {"integral_scale": "x"},
+        {"integral_scale": 0},
+        {"integral_scale": float("inf")},
+    ])
+    def test_malformed_environment_is_one_line_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "-e", "e1", "--env", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_environment_file_with_every_field(self, tmp_path, capsys):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({"dim": 2, "vectors": {"p": ["1/2", 3]},
+                                    "integral_scale": 2}))
+        assert main(["eval", "-e", "[p, e1]", "--env", str(path)]) == 0
+        assert capsys.readouterr().out == "-3/2\n"

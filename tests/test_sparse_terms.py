@@ -1,8 +1,9 @@
 """Properties of the shared sparse term kernel over all five element types.
 
-Every operation result must equal its rebuild through the validating
-public constructor, store no zero coefficient and keep every coefficient
-in the class's ring, whichever class produced it.
+Every operation result, and the result of every linear map that sums
+its images in the kernel, must equal its rebuild through the validating
+public constructor of its own class, store no zero coefficient and keep
+every coefficient in that class's ring, whichever class produced it.
 """
 
 from fractions import Fraction
@@ -12,10 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extensor.bitableau import BitableauElement
+from extensor.cg_algebra import standard_basis
 from extensor.exterior import ExteriorElement
 from extensor.letterplace import (Biproduct, FreeTensorElement,
-                                  LetterplaceElement, make_biproduct)
-from extensor.tensor_power import TensorPowerElement
+                                  LetterplaceElement, ft_diamond,
+                                  make_biproduct, phi, phi_inv, polarize,
+                                  polarize_divided)
+from extensor.tensor_power import TensorPowerElement, diamond
 
 LETTERS = "abcd"
 
@@ -105,11 +109,41 @@ CLASSES = {
 }
 
 
+def fold_maps(op, m):
+    """``op(h, j, i)`` over every pair of folds, h = 1 on the diagonal."""
+    return [op(h, j, i) for j in range(1, m + 1) for i in range(1, m + 1)
+            for h in ((1,) if i == j else (0, 1, 2))]
+
+
+def place_maps(a):
+    m = a.m
+    return ([polarize(k, h, a) for k in range(1, m + 1) for h in range(1, m + 1)]
+            + [polarize_divided(h, j, i, a) for j in range(1, m + 1)
+               for i in range(1, m + 1) if i != j for h in (0, 1, 2)])
+
+
+# class -> the linear maps moved onto the kernel, applied to one element;
+# their results may belong to another class
+LINEAR_MAPS = {
+    ExteriorElement: lambda a: (
+        [a.slice(parts) for parts in ((1, 1), (2, 0), (0, 1, 1), (3,))]
+        + ([standard_basis(a.dim).star(a)] if a.dim else [])),
+    TensorPowerElement: lambda a: (
+        fold_maps(lambda h, j, i: diamond(h, j, i, a), a.m)
+        + [a.map_folds(standard_basis(a.dim).star)]),
+    LetterplaceElement: lambda a: place_maps(a) + [phi(a)],
+    FreeTensorElement: lambda a: (
+        fold_maps(lambda h, j, i: ft_diamond(h, j, i, a), a.m) + [phi_inv(a)]),
+    BitableauElement: lambda a: [a.to_letterplace()],
+}
+
+
 def check_kernel(cls, a, b, scalar):
-    _, ring, rebuild, product = CLASSES[cls]
+    _, _, _, product = CLASSES[cls]
     results = [a + b, a - b, -a, a.scale(scalar), scalar * a, product(a, b)]
-    for r in results:
-        assert type(r) is cls
+    assert all(type(r) is cls for r in results)
+    for r in results + LINEAR_MAPS[cls](a):
+        _, ring, rebuild, _ = CLASSES[type(r)]
         assert r == rebuild(r)
         assert all(c != 0 for c in r.terms.values())
         assert all(type(c) is ring for c in r.terms.values())

@@ -392,3 +392,17 @@ class TestNormalFormProperties:
     def test_additive(self, elements):
         a, b = elements
         assert wh_normal_form(a + b) == wh_normal_form(a) + wh_normal_form(b)
+
+
+@pytest.mark.xfail(strict=True, reason="deleting dependent-row products is "
+                   "sound but not complete")
+def test_generator_multiples_have_zero_normal_form():
+    """(w|1^3)(a|2) lies in the ideal when w is a dependent triple, yet
+    its doubly standard expansion keeps products whose rows are all
+    independent, so the deletion leaves a nonzero normal form."""
+    cases = [(six_point_matroid(), "bcf"), (fano_matroid(), "bdf")]
+    elements = [WhitneyElement(matroid, expand_raw(word, {1: 3}, 2)
+                               * LetterplaceElement.generator(2, "a", 2))
+                for matroid, word in cases]
+    assert all(ideal_membership_bruteforce(e.raw, e.matroid) for e in elements)
+    assert [str(wh_normal_form(e)) for e in elements] == ["0", "0"]
