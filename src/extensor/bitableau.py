@@ -15,12 +15,12 @@ the doubly standard basis, whose place columns also increase strictly.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations, groupby, product as iproduct
 from math import comb
 
 from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
-                          _graded_components, make_biproduct, phi)
+                          _graded_components, make_biproduct)
 from .tensorops import IntegerTerms, _sum_terms
 from .words import position_slices, word_slices
 
@@ -42,7 +42,7 @@ class BitableauElement(IntegerTerms):
         for row in key:
             if not isinstance(row, Biproduct) or row.is_unit:
                 raise ValueError("rows must be nonunit biproducts")
-            if any(p > self.m for p, _ in row.degrees):
+            if any(not 1 <= p <= self.m for p, _ in row.degrees):
                 raise ValueError("row uses a place outside 1..m")
         return key
 
@@ -70,11 +70,17 @@ class BitableauElement(IntegerTerms):
 
     @classmethod
     def from_letterplace(cls, e: LetterplaceElement) -> "BitableauElement":
-        """Rewrite each monomial as its product of single-place rows."""
-        out = {tuple(Biproduct(word, ((place, len(word)),))
-                     for place, word in enumerate(folds, start=1) if word): c
-               for folds, c in phi(e).terms.items()}
-        return cls._trusted(out, e.m)
+        """Rewrite each monomial as its product of single-place rows.
+
+        A canonical monomial is place-major, so each place it uses is
+        one run of it; places it does not use cost nothing.
+        """
+        def rows(mono):
+            for place, run in groupby(mono, key=lambda v: v[1]):
+                word = tuple(x for x, _ in run)
+                yield Biproduct(word, ((place, len(word)),))
+
+        return cls._trusted({tuple(rows(mono)): c for mono, c in e.terms.items()}, e.m)
 
     def __mul__(self, other):
         if not isinstance(other, BitableauElement):

@@ -69,13 +69,13 @@ class PeanoSpace:
         if sa + sb < n:
             return ExteriorElement.zero(n)
         if side == "left":
-            images = ((w2, c * self.bracket_element(
-                           ExteriorElement.monomial(n, w1).wedge(b)))
-                      for (w1, w2), c in a.slice((n - sb, sa + sb - n)).terms.items())
+            images = ((w2, c * br)
+                      for (w1, w2), c in a.slice((n - sb, sa + sb - n)).terms.items()
+                      for br in [self._bracket_word(w1, b, True)] if br)
         elif side == "right":
-            images = ((w1, c * self.bracket_element(
-                           a.wedge(ExteriorElement.monomial(n, w2))))
-                      for (w1, w2), c in b.slice((sa + sb - n, n - sa)).terms.items())
+            images = ((w1, c * br)
+                      for (w1, w2), c in b.slice((sa + sb - n, n - sa)).terms.items()
+                      for br in [self._bracket_word(w2, a, False)] if br)
         else:
             raise ValueError(f"unknown meet side {side!r}")
         return ExteriorElement._trusted(_sum_terms(images), n)
@@ -95,8 +95,23 @@ class PeanoSpace:
         if sa + sb < n:
             return ExteriorElement.zero(n)
         return ExteriorElement._trusted(_sum_terms(
-            (w1, c * self.bracket_element(ExteriorElement.monomial(n, w2).wedge(b)))
-            for (w1, w2), c in a.slice((sa + sb - n, n - sb)).terms.items()), n)
+            (w1, c * br)
+            for (w1, w2), c in a.slice((sa + sb - n, n - sb)).terms.items()
+            for br in [self._bracket_word(w2, b, True)] if br), n)
+
+    def _bracket_word(self, word, x: ExteriorElement, word_first: bool):
+        """``[e_word ^ x]``, or ``[x ^ e_word]`` when not ``word_first``.
+
+        Only the term of x on the complement of the word reaches the top
+        step, so no wedge is built; 0 when x has no such term.
+        """
+        comp = tuple(i for i in self._top if i not in word)
+        c = x.terms.get(comp)
+        if c is None:
+            return 0
+        sign = merge_words(word, comp)[0] if word_first else merge_words(comp, word)[0]
+        br = c / self._scale
+        return br if sign > 0 else -br
 
     def meet_chain(self, first: ExteriorElement, *rest: ExteriorElement,
                    side: str = "left") -> ExteriorElement:
@@ -115,7 +130,7 @@ def join(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
 class OrderedBasis:
     """An ordered basis of the space, carrying its Hodge star operator."""
 
-    __slots__ = ("vectors", "F", "_to_basis", "_from_basis")
+    __slots__ = ("vectors", "F", "_to_basis", "_from_basis", "_stars")
 
     def __init__(self, vectors: Sequence):
         vecs = [as_vector(v) for v in vectors]
@@ -134,6 +149,8 @@ class OrderedBasis:
         self._to_basis = [
             ExteriorElement(n, {(i + 1,): pinv[i][j] for i in range(n) if pinv[i][j]})
             for j in range(n)]
+        # star image of e_word, filled one word at a time by star()
+        self._stars: dict = {}
 
     @property
     def dim(self) -> int:
@@ -147,11 +164,30 @@ class OrderedBasis:
         """Signed complement of canonical extensors, extended linearly.
 
         Elements given in ambient coordinates are first rewritten in
-        this basis, starred there, and mapped back.
+        this basis, starred there, and mapped back.  The basis keeps a
+        table from a word w to the star of e_w.  When one word of the
+        element is not in the table yet, its image is computed and
+        stored; when several are missing, one rewrite covers them all
+        and nothing is stored.
         """
         n = self.dim
         if a.dim != n:
             raise DimensionMismatch("element of another dimension")
+        stars = self._stars
+        missing = [w for w in a.terms if w not in stars]
+        if len(missing) == 1:
+            (word,) = missing
+            unit = ExteriorElement._trusted({word: Fraction(1)}, n)
+            stars[word] = self._rewrite_star(unit)
+        parts = [(stars[w], c) for w, c in a.terms.items() if w in stars]
+        if len(missing) > 1:
+            parts.append((self._rewrite_star(
+                ExteriorElement._trusted({w: a.terms[w] for w in missing}, n)), 1))
+        return ExteriorElement._sum(parts, n)
+
+    def _rewrite_star(self, a: ExteriorElement) -> ExteriorElement:
+        """The star by rewriting a in this basis and back."""
+        n = self.dim
         in_basis = substitute(a, self._to_basis)
         full = range(1, n + 1)
         starred = {comp: merge_words(word, comp)[0] * c

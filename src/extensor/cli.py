@@ -359,13 +359,20 @@ class Evaluator:
 
     def _eval_lp(self, node):
         _, letter, place = node
-        if not (1 <= place <= self.m):
-            raise EvalError(f"place {place} outside 1..{self.m}")
+        self._check_place(place)
         return LetterplaceElement.generator(self.m, letter, place)
 
     def _eval_bp(self, node):
         _, word, degrees = node
+        for place, _ in degrees:
+            self._check_place(place)
         return BitableauElement.single(self.m, [(tuple(word), degrees)])
+
+    def _check_place(self, place: int):
+        if place < 1:
+            raise EvalError(f"place {place}: places start at 1")
+        if place > self.m:
+            raise EvalError(f"place {place} outside 1..{self.m}")
 
     def _eval_scale(self, node):
         _, value, body = node
@@ -533,8 +540,15 @@ def cmd_matroid(args) -> int:
     return _report_output(reports, args.json, f"matroid-{args.check}", args.seed)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad arguments as one ``error:`` line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="extensor",
         description="Exact Grassmann-Cayley, letterplace, and Whitney algebra toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

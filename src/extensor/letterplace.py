@@ -204,7 +204,7 @@ def biproduct_expand(b: Biproduct, m: int) -> LetterplaceElement:
     The single-place case is the plain product of generators; the unit
     biproduct expands to 1.
     """
-    if any(p > m for p, _ in b.degrees):
+    if any(not 1 <= p <= m for p, _ in b.degrees):
         raise ValueError("biproduct place outside 1..m")
     if b.is_unit:
         return LetterplaceElement.unit(m)

@@ -9,7 +9,7 @@ from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
-from extensor.letterplace import Biproduct, make_biproduct
+from extensor.letterplace import Biproduct, LetterplaceElement, make_biproduct
 
 LETTERS = "abcdef"
 
@@ -167,6 +167,16 @@ class TestStraighten:
             e = b.to_letterplace()
             again = BitableauElement.from_letterplace(e)
             assert again.to_letterplace() == e
+
+    def test_rows_from_letterplace_cost_nothing_per_unused_place(self):
+        m = 10 ** 9
+        e = LetterplaceElement.generator(m, "b", 1) * LetterplaceElement.generator(m, "a", m)
+        assert BitableauElement.from_letterplace(e) == rows_of(m, ("b", {1: 1}), ("a", {m: 1}))
+
+    @pytest.mark.parametrize("degrees", [{0: 1, 1: 1}, {1: 1, 3: 1}])
+    def test_row_place_outside_one_to_m_is_refused(self, degrees):
+        with pytest.raises(ValueError):
+            rows_of(2, ("ab", degrees))
 
 
 class TestStandardExpansion:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extensor.cli import (Environment, EvalError, ParseError, evaluate_text,
                           main, parse)
@@ -159,6 +162,10 @@ class TestCommands:
     def test_unknown_flag_is_usage_error(self):
         assert main(["eval", "--nonsense"]) == 2
 
+    def test_expression_starting_with_minus_needs_the_equals_form(self, capsys):
+        assert main(["eval", "--expression=-e1"]) == 0
+        assert capsys.readouterr().out == "-e1\n"
+
     def test_straighten_command(self, capsys):
         code = main(["straighten", "-e", "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1)"])
         assert code == 0
@@ -214,6 +221,15 @@ class TestCommands:
           "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1) ^ bp(ef; 1:1, 2:1)"],
          "no fixed point within 1 steps"),
         (["eval", "-e", "1/0 e1"], "division by zero"),
+        (["eval", "-e", "bp(ab; 0:1, 1:1)"], "place 0: places start at 1"),
+        (["eval", "-e", "bp(ab; 0:2)"], "place 0: places start at 1"),
+        (["eval", "-e", "(a|0)"], "place 0: places start at 1"),
+        (["eval", "-e", "(a|0) ^ (b|1)"], "place 0: places start at 1"),
+        (["straighten", "-e", "bp(ab; 0:1, 1:1) ^ bp(c; 1:1)"],
+         "place 0: places start at 1"),
+        (["eval", "-e", "e1", "--nonsense"], "unrecognized arguments: --nonsense"),
+        (["eval"], "the following arguments are required"),
+        (["eval", "-e", "-e1"], "expected one argument"),
     ])
     def test_bad_input_is_one_line_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
@@ -301,3 +317,23 @@ class TestCommands:
                                     "integral_scale": 2}))
         assert main(["eval", "-e", "[p, e1]", "--env", str(path)]) == 0
         assert capsys.readouterr().out == "-3/2\n"
+
+
+# the grammar's alphabet: names, integers, keywords and every symbol
+FUZZ_TOKENS = ["e1", "e2", "e3", "a", "b", "x", "0", "1", "2", "dia", "bp",
+               "+", "-", "#", "&", "^", "*", "/", "(", ")", "[", "]", ",",
+               ";", ":", "|", " "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["eval", "straighten"]),
+       st.lists(st.sampled_from(FUZZ_TOKENS), max_size=16), st.sampled_from(["", " "]))
+def test_random_token_strings_never_escape_the_exit_codes(command, tokens, sep):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-e", sep.join(tokens)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

@@ -118,6 +118,11 @@ class TestBiproducts:
     def test_repeated_letter_is_zero(self):
         assert not expand_raw(("x", "x"), {1: 1, 2: 1}, 2)
 
+    @pytest.mark.parametrize("degrees", [{0: 1, 1: 1}, {1: 1, 3: 1}])
+    def test_place_outside_one_to_m_is_refused(self, degrees):
+        with pytest.raises(ValueError):
+            expand_raw(("x", "y"), degrees, 2)
+
     def test_skew_in_the_letters(self):
         sign, bp = make_biproduct(("c", "a", "b"), {1: 2, 2: 1})
         assert bp.word == ("a", "b", "c")
