@@ -15,6 +15,7 @@ the doubly standard basis, whose place columns also increase strictly.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations, groupby, product as iproduct
 from math import comb
 
@@ -139,9 +140,7 @@ def _deg_add(degrees, extra: dict[int, int]):
 def _deg_sub(degrees, taken: dict[int, int]):
     d = dict(degrees)
     for p, q in taken.items():
-        d[p] = d.get(p, 0) - q
-    if any(q < 0 for q in d.values()):
-        return None
+        d[p] -= q
     return tuple(sorted((p, q) for p, q in d.items() if q))
 
 
@@ -189,30 +188,40 @@ def _rewrite_pair(r1: Biproduct, r2: Biproduct) -> list[tuple[int, Rows]]:
                                make_biproduct(u + v1, mu1),
                                make_biproduct(v2 + w, mu2)))
 
-    # the shuffle identity right side
+    # the shuffle identity right side: r-vectors below the lower
+    # degrees, each with its binomial weight and the moved degrees
     qcaps = dict(mu2)
     places = sorted(qcaps)
+    caps = [qcaps[pl] for pl in places]
+    mu1d = dict(mu1)
+    sign_uv = sigma * (-1) ** (len(u) * len(v))
     for usize in range(len(u) + 1):
-        need = usize + 1   # the r-vector total forced by the degrees
+        moves = []
+        for rvec in _compositions(usize + 1, caps):   # the total the degrees force
+            extra = dict(zip(places, rvec))
+            cr = 1
+            for pl, r in extra.items():
+                cr *= comb(mu1d.get(pl, 0) + r, r)
+            moves.append((cr, _deg_add(mu1, extra), _deg_sub(mu2, extra)))
         for su, (u1, u2) in word_slices(u, (usize, len(u) - usize)):
-            for rvec in iproduct(*(range(qcaps[pl] + 1) for pl in places)):
-                if sum(rvec) != need:
-                    continue
-                extra = dict(zip(places, rvec))
-                cr = 1
-                mu1d = dict(mu1)
-                for pl, r in extra.items():
-                    cr *= comb(mu1d.get(pl, 0) + r, r)
-                sub = _deg_sub(mu2, extra)
-                if sub is None:
-                    continue
-                coeff = (sigma * su * cr
-                         * (-1) ** (len(u) * len(v))
-                         * (-1) ** len(u2))
-                out.extend(_pair_terms(coeff,
-                                       make_biproduct(v + u1, _deg_add(mu1, extra)),
-                                       make_biproduct(u2 + w, sub)))
+            for cr, up, down in moves:
+                out.extend(_pair_terms(sign_uv * su * cr * (-1) ** len(u2),
+                                       make_biproduct(v + u1, up),
+                                       make_biproduct(u2 + w, down)))
     return out
+
+
+def _compositions(total: int, caps):
+    """Vectors below ``caps`` entrywise that sum to ``total``, in
+    lexicographic order."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for r in range(max(0, total - room), min(caps[0], total) + 1):
+        for rest in _compositions(total - r, caps[1:]):
+            yield (r,) + rest
 
 
 def _order_key(order):
@@ -236,17 +245,51 @@ def straighten(e: BitableauElement, order="deglex",
     """Rewrite until every surviving row product is standard.
 
     The term order decides which term is processed next; the final
-    value in the letterplace algebra does not depend on it.  Exceeding
-    the step budget raises, which signals a defective order choice
-    rather than a data error.
+    value in the letterplace algebra does not depend on it.  Each step
+    takes the least live term, the first to enter the worklist among
+    equal keys.  A heap beside the worklist holds ``(key, n, rows)``,
+    pushed when ``rows`` enters the worklist with a running count
+    ``n``, so each key is computed once per entry and row products are
+    never compared; an entry whose rows have since left the worklist,
+    or re-entered under a later count, is skipped when popped.  The
+    rewrite of each violating pair is built once per call and reused
+    when the same pair recurs.  The budget counts rewrite steps,
+    reused rewrites included; exceeding it raises, which signals a
+    defective order choice rather than a data error.
     """
     key = _order_key(order)
-    work: dict[Rows, int] = dict(e.terms)
+    work: dict[Rows, int] = {}
+    live: dict[Rows, int] = {}
+    heap: list = []
+    count = 0
+
+    def add(rows: Rows, c: int):
+        # c is never 0: input terms are nonzero, and so is every
+        # rewrite coefficient
+        nonlocal count
+        v = work.get(rows)
+        if v is None:
+            count += 1
+            live[rows] = count
+            heappush(heap, (key(rows), count, rows))
+            work[rows] = c
+        elif v + c:
+            work[rows] = v + c
+        else:
+            del work[rows]
+
+    for rows, c in e.terms.items():
+        add(rows, c)
     done: dict[Rows, int] = {}
+    rewrites: dict[tuple[Biproduct, Biproduct], tuple] = {}
     steps = 0
     while work:
-        rows = min(work, key=key)
-        coeff = work.pop(rows)
+        _, n, rows = heappop(heap)
+        if live[rows] != n:
+            continue
+        coeff = work.pop(rows, None)
+        if coeff is None:
+            continue
         idx = _first_violation(rows)
         if idx is None:
             done[rows] = done.get(rows, 0) + coeff
@@ -254,13 +297,12 @@ def straighten(e: BitableauElement, order="deglex",
         steps += 1
         if steps > budget:
             raise StraighteningBudgetExceeded(f"no fixed point within {budget} steps")
-        for c2, newrows in _rewrite_pair(rows[idx], rows[idx + 1]):
-            nk = rows[:idx] + newrows + rows[idx + 2:]
-            v = work.get(nk, 0) + coeff * c2
-            if v:
-                work[nk] = v
-            elif nk in work:
-                del work[nk]
+        pair = rows[idx:idx + 2]
+        if pair not in rewrites:
+            rewrites[pair] = tuple(_rewrite_pair(*pair))
+        head, tail = rows[:idx], rows[idx + 2:]
+        for c2, newrows in rewrites[pair]:
+            add(head + newrows + tail, coeff * c2)
     return e._like(done)
 
 

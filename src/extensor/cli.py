@@ -283,10 +283,18 @@ def _max_place(node) -> int:
     return max(places)
 
 
+# Largest ambient dimension.  The environment builds dim unit vectors
+# and inverts a dim x dim matrix of Fractions before evaluating anything:
+# 0.1 s at 64, 1.4 s at 256, and minutes and gigabytes at 2000.
+MAX_DIM = 64
+
+
 class Environment:
     """Name bindings and the ambient spaces used by the evaluator."""
 
     def __init__(self, dim: int = 3, vectors=None, integral_scale=1):
+        if not 0 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension {dim} is outside 0..{MAX_DIM}")
         self.dim = dim
         self.vectors: dict[str, tuple] = {}
         for i in range(1, dim + 1):
@@ -311,8 +319,8 @@ class Environment:
             raise ValueError("an environment document must be a JSON object")
         dim, vectors = doc.get("dim", 3), doc.get("vectors", {})
         scale = doc.get("integral_scale", "1")
-        if type(dim) is not int or dim < 0:
-            raise ValueError("environment field 'dim' must be an integer >= 0")
+        if type(dim) is not int:
+            raise ValueError("environment field 'dim' must be an integer")
         if not (isinstance(vectors, dict)
                 and all(isinstance(v, list) for v in vectors.values())):
             raise ValueError("environment field 'vectors' must map names to lists")

@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
-                                _first_violation, _standard_candidates,
+                                _compositions, _first_violation, _order_key,
+                                _rewrite_pair, _standard_candidates,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
@@ -177,6 +178,88 @@ class TestStraighten:
     def test_row_place_outside_one_to_m_is_refused(self, degrees):
         with pytest.raises(ValueError):
             rows_of(2, ("ab", degrees))
+
+
+def reference_straighten(e, order):
+    """The rewrite loop without a heap or a memo: each step takes
+    ``min`` over the worklist, whose ties go to the first key inserted,
+    and rebuilds the pair rewrite.  Returns the terms and the steps."""
+    key = _order_key(order)
+    work = dict(e.terms)
+    done = {}
+    steps = 0
+    while work:
+        rows = min(work, key=key)
+        coeff = work.pop(rows)
+        idx = _first_violation(rows)
+        if idx is None:
+            done[rows] = done.get(rows, 0) + coeff
+            continue
+        steps += 1
+        for c2, newrows in _rewrite_pair(rows[idx], rows[idx + 1]):
+            nk = rows[:idx] + newrows + rows[idx + 2:]
+            v = work.get(nk, 0) + coeff * c2
+            if v:
+                work[nk] = v
+            elif nk in work:
+                del work[nk]
+    return {rows: c for rows, c in done.items() if c}, steps
+
+
+def rand_rows(rng, m, count, max_len):
+    specs = []
+    for _ in range(count):
+        w = tuple(sorted(rng.sample(LETTERS, rng.randint(1, max_len))))
+        specs.append((w, rand_multidegree(rng, len(w), m)))
+    return rows_of(m, *specs)
+
+
+def one_step(b):
+    """The first term of ``b`` replaced by its one-step rewrite: equal
+    to it in value, but sharing its nonstandard rows."""
+    rows, c = next(iter(b.terms.items()))
+    idx = _first_violation(rows)
+    if idx is None:
+        return b
+    return BitableauElement(b.m, {rows[:idx] + new + rows[idx + 2:]: c * c2
+                                  for c2, new in _rewrite_pair(rows[idx], rows[idx + 1])})
+
+
+# The key of a callable order decides only the processing order; these
+# tie often, so the first-inserted tie-break decides most steps.
+TIED_ORDERS = (lambda rows: len(rows), lambda rows: len(rows[0].word))
+
+
+class TestStraightenAgainstReference:
+    def elements(self):
+        rng = random.Random(9)
+        for count, max_len, trials in ((2, 4, 6), (3, 3, 6), (4, 2, 4)):
+            for _ in range(trials):
+                m = rng.randint(2, 3)
+                b = rand_rows(rng, m, count, max_len)
+                yield b
+                # cancelling sums: rows that meet the rewrite of b in the
+                # worklist, and a whole element of value zero
+                yield b - one_step(b) + rand_rows(rng, m, count, max_len)
+                yield b - one_step(b)
+
+    @pytest.mark.parametrize("order", ("deglex", "revlex") + TIED_ORDERS)
+    def test_same_terms_in_the_same_order_and_steps(self, order):
+        for b in self.elements():
+            want, steps = reference_straighten(b, order)
+            got = straighten(b, order=order, budget=steps)
+            assert list(got.terms.items()) == list(want.items())
+            assert str(got) == str(b._like(want))
+            if steps:
+                with pytest.raises(StraighteningBudgetExceeded):
+                    straighten(b, order=order, budget=steps - 1)
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (3,), (2, 0, 1), (1, 3, 2)])
+def test_compositions_are_the_filtered_product(caps):
+    for total in range(sum(caps) + 2):
+        want = [r for r in product(*(range(c + 1) for c in caps)) if sum(r) == total]
+        assert list(_compositions(total, caps)) == want
 
 
 class TestStandardExpansion:

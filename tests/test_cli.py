@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensor.cli import (Environment, EvalError, ParseError, evaluate_text,
-                          main, parse)
+from extensor.cli import (MAX_DIM, Environment, EvalError, ParseError,
+                          evaluate_text, main, parse)
 from extensor.exterior import ExteriorElement
 
 
@@ -171,6 +172,32 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "bp(" in out
+
+    @pytest.mark.parametrize(
+        "case", json.loads(Path(__file__).with_name("straighten_golden.json").read_text()),
+        ids=lambda case: case["argv"][-1][:40])
+    def test_straighten_output_is_pinned(self, capsys, case):
+        # the rewrite loop may get faster but must keep printing these
+        # bytes; the last case prints 184 terms
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_dimension_limit(self, tmp_path, capsys, source):
+        def run(dim):
+            if source == "flag":
+                return main(["eval", "--dim", str(dim), "-e", f"e{max(dim, 1)}"])
+            path = tmp_path / "env.json"
+            path.write_text(json.dumps({"dim": dim}))
+            return main(["eval", "--env", str(path), "-e", f"e{max(dim, 1)}"])
+
+        assert run(MAX_DIM) == 0
+        assert capsys.readouterr().out == f"e{MAX_DIM}\n"
+        for dim in (MAX_DIM + 1, -1):
+            assert run(dim) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: dimension {dim} is outside 0..{MAX_DIM}\n"
 
     def test_verify_exit_zero_and_determinism(self, capsys):
         assert main(["verify", "meet", "--seed", "5", "--json"]) == 0
