@@ -30,6 +30,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .bitableau import (BitableauElement, StraighteningBudgetExceeded,
                         straighten)
@@ -284,13 +285,18 @@ def _max_place(node) -> int:
 
 
 # Largest ambient dimension.  The environment builds dim unit vectors
-# and inverts a dim x dim matrix of Fractions before evaluating anything:
+# up front, and the first star inverts a dim x dim matrix of Fractions:
 # 0.1 s at 64, 1.4 s at 256, and minutes and gigabytes at 2000.
 MAX_DIM = 64
 
 
 class Environment:
-    """Name bindings and the ambient spaces used by the evaluator."""
+    """Name bindings and the ambient spaces used by the evaluator.
+
+    The unit vectors and the Peano space are built at construction, so a
+    bad dimension, vector or integral scale is refused before any
+    evaluation; the basis behind ``*x`` is built on the first star.
+    """
 
     def __init__(self, dim: int = 3, vectors=None, integral_scale=1):
         if not 0 <= dim <= MAX_DIM:
@@ -306,7 +312,10 @@ class Environment:
                 raise EvalError(f"vector {name} has length {len(v)}, dimension is {dim}")
             self.vectors[name] = v
         self.peano = PeanoSpace.standard(dim, Fraction(integral_scale))
-        self.basis = standard_basis(dim)
+
+    @cached_property
+    def basis(self):
+        return standard_basis(self.dim)
 
     @classmethod
     def from_file(cls, path: str) -> "Environment":
@@ -555,7 +564,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    keeps no state in it, each call gets a fresh namespace."""
     ap = _ArgumentParser(
         prog="extensor",
         description="Exact Grassmann-Cayley, letterplace, and Whitney algebra toolkit")

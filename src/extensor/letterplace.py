@@ -12,7 +12,7 @@ intertwining divided polarizations with the geometric products there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -74,9 +74,38 @@ class LetterplaceElement(IntegerTerms):
         if not isinstance(other, LetterplaceElement):
             return self.scale(other)
         self._check(other)
-        return self._like(_sum_products(
-            (u + v, cu * cv)
-            for u, cu in self.terms.items() for v, cv in other.terms.items()))
+        return self._like(_sum_terms(
+            (mono, sign * cu * cv)
+            for u, cu in self.terms.items() for v, cv in other.terms.items()
+            for sign, mono in [_merge_monomials(u, v)] if sign))
+
+
+def _merge_monomials(u: LPMonomial, v: LPMonomial):
+    """The product of two canonical monomials, as ``(sign, monomial)``.
+
+    Equals :func:`lp_normalize` of the concatenation ``u + v``, in one
+    pass: a merge in the place-major order whose sign is the parity of
+    the pairs it crosses, each variable of ``v`` passing every variable
+    of ``u`` still waiting; 0 when the monomials share a variable.
+    """
+    if not u or not v:
+        return 1, u or v
+    out = []
+    crossings = i = j = 0
+    nu, nv = len(u), len(v)
+    while i < nu and j < nv:
+        a, b = u[i], v[j]
+        if a[1] < b[1] or (a[1] == b[1] and a[0] < b[0]):
+            out.append(a)
+            i += 1
+        elif a == b:
+            return 0, ()
+        else:
+            out.append(b)
+            j += 1
+            crossings += nu - i
+    out.extend(u[i:] if i < nu else v[j:])
+    return -1 if crossings & 1 else 1, tuple(out)
 
 
 def _sum_products(products) -> dict:
@@ -151,6 +180,15 @@ class Biproduct:
 
     word: LetterWord
     degrees: tuple[tuple[int, int], ...]   # (place, exponent), exponents > 0
+    # the dataclass hash of (word, degrees), computed once: rows are dict
+    # keys, inside row tuples, on every step of the straightening loop
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.word, self.degrees)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_unit(self) -> bool:

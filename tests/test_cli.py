@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extensor import cli
+from extensor.cg_algebra import standard_basis
 from extensor.cli import (MAX_DIM, Environment, EvalError, ParseError,
-                          evaluate_text, main, parse)
+                          build_parser, evaluate_text, main, parse)
 from extensor.exterior import ExteriorElement
 
 
@@ -198,6 +200,46 @@ class TestCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: dimension {dim} is outside 0..{MAX_DIM}\n"
+
+    def test_a_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        expr = "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1) ^ bp(ef; 1:1, 2:1)"
+        build_parser.cache_clear()
+        assert main(["straighten", "-e", expr]) == 0
+        first = capsys.readouterr().out
+        assert build_parser() is build_parser()
+
+        calls = []
+        straighten = cli.straighten
+
+        def recording(value, order, budget):
+            calls.append((order, budget))
+            return straighten(value, order=order, budget=budget)
+
+        monkeypatch.setattr(cli, "straighten", recording)
+        main(["straighten", "--order", "revlex", "--budget", "5", "-e", expr])
+        assert main(["straighten", "--order", "nosuch", "-e", expr]) == 2
+        capsys.readouterr()
+        assert main(["straighten", "-e", expr]) == 0
+        assert calls == [("revlex", 5), ("deglex", 10 ** 6)]
+        assert capsys.readouterr().out == first
+
+        assert main(["eval", "--dim", "2", "-e", "e2"]) == 0
+        assert main(["eval", "--dim", "2", "-e", "e3"]) == 2
+        assert main(["eval", "--dim", "4", "-e", "e4 ^ e3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "e2\n-e3^e4\n"
+        assert captured.err == "error: unknown name 'e3'\n"
+
+    @pytest.mark.parametrize("dim", [0, 3, MAX_DIM])
+    def test_star_builds_its_basis_on_first_use(self, dim):
+        env = Environment(dim=dim)
+        assert "basis" not in vars(env)
+        x = ExteriorElement.unit(dim) if dim == 0 else evaluate_text("e1", env)
+        want = standard_basis(dim).star(x)
+        if dim:
+            assert evaluate_text("*e1", env) == want
+        assert env.basis.star(x) == want
+        assert env.basis is env.basis
 
     def test_verify_exit_zero_and_determinism(self, capsys):
         assert main(["verify", "meet", "--seed", "5", "--json"]) == 0

@@ -2,9 +2,11 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extensor.letterplace import (FreeTensorElement, LetterplaceElement,
-                                  expand_raw, ft_diamond, lp_normalize,
+                                  _merge_monomials, expand_raw, ft_diamond,
+                                  lp_normalize,
                                   make_biproduct, phi, phi_inv, polarize,
                                   polarize_divided)
 
@@ -55,6 +57,41 @@ class TestNormalization:
         assert not a * a
         b = g(2, "y", 2)
         assert a * b == -1 * (b * a)
+
+
+# canonical monomials over letters a-e and places 1..4; two draws from
+# the same 20 variables often share one, and the empty monomial is drawn
+MONOMIALS = st.sets(st.tuples(st.sampled_from(LETTERS), st.integers(1, 4)),
+                    max_size=6).map(lambda vs: tuple(sorted(vs, key=lambda v: (v[1], v[0]))))
+
+
+def lp_sums(m):
+    """Random elements: sums of signed products of generators, repeats
+    and unsorted orders included, so terms cancel and vanish."""
+    term = st.tuples(st.lists(st.tuples(st.sampled_from(LETTERS), st.integers(1, m)),
+                              max_size=4),
+                     st.integers(-3, 3))
+    return st.lists(term, max_size=4).map(lambda terms: sum(
+        (LetterplaceElement.from_vars(m, seq, c) for seq, c in terms),
+        LetterplaceElement.zero(m)))
+
+
+class TestMergeProduct:
+    @settings(max_examples=400, deadline=None)
+    @given(MONOMIALS, MONOMIALS)
+    def test_merge_is_the_normalized_concatenation(self, u, v):
+        # same sign, same monomial, and (0, ()) on a shared variable
+        assert _merge_monomials(u, v) == lp_normalize(u + v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(lp_sums(m), lp_sums(m))))
+    def test_product_matches_the_normalizing_route(self, pair):
+        x, y = pair
+        want = LetterplaceElement.zero(x.m)
+        for u, cu in x.terms.items():
+            for v, cv in y.terms.items():
+                want = want + LetterplaceElement.from_vars(x.m, u + v, cu * cv)
+        assert x * y == want
 
 
 class TestPolarizations:
