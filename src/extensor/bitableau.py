@@ -5,9 +5,11 @@ normalized biproduct.  A two-row product is standard when the upper
 word is at least as long as the lower one and dominates it entrywise;
 the rewrite replaces the first violating pair using the two-row shuffle
 identity, which expresses the product as a signed sum of pairs that are
-either strictly longer on top or lexicographically smaller there.  The
-rewrite preserves the value in the letterplace algebra exactly, which
-tests check through the place-regrouping map.  Its output is
+either strictly longer on top or lexicographically smaller there.
+Terms are rewritten in one fixed order: least total word length first,
+then by the rows' words and degrees.  The rewrite preserves the value
+in the letterplace algebra exactly, which tests check through the
+place-regrouping map.  Its output is
 word-standard only; :func:`standard_expansion` gives the coordinates in
 the doubly standard basis, whose place columns also increase strictly.
 """
@@ -23,7 +25,7 @@ from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
                           _graded_components, make_biproduct)
 from .tensorops import IntegerTerms, _sum_terms
-from .words import position_slices, word_slices
+from .words import position_slices, sort_with_sign, word_slices
 
 
 class StraighteningBudgetExceeded(RuntimeError):
@@ -144,12 +146,16 @@ def _deg_sub(degrees, taken: dict[int, int]):
     return tuple(sorted((p, q) for p, q in d.items() if q))
 
 
-def _pair_terms(sign: int, row_a, row_b) -> list[tuple[int, Rows]]:
-    sa, ba = row_a
-    sb, bb = row_b
-    if ba is None or bb is None:
+def _pair_terms(sign: int, upper, up, lower, down) -> list[tuple[int, Rows]]:
+    """The row pair (upper|up)(lower|down) with its words sorted, or
+    nothing when a word repeats a letter.  The rewrite passes normalized
+    degrees that match the word lengths, so the rows are built directly;
+    an empty word is the unit and drops out."""
+    sa, wa = sort_with_sign(upper)
+    sb, wb = sort_with_sign(lower)
+    if not (sa and sb):
         return []
-    rows = tuple(r for r in (ba, bb) if not r.is_unit)
+    rows = tuple(Biproduct(w, d) for w, d in ((wa, up), (wb, down)) if w)
     return [(sign * sa * sb, rows)]
 
 
@@ -184,9 +190,7 @@ def _rewrite_pair(r1: Biproduct, r2: Biproduct) -> list[tuple[int, Rows]]:
             continue
         v1 = tuple(v[i] for i in blocks[0])
         v2 = tuple(v[i] for i in blocks[1])
-        out.extend(_pair_terms(-sigma * sl_sign,
-                               make_biproduct(u + v1, mu1),
-                               make_biproduct(v2 + w, mu2)))
+        out.extend(_pair_terms(-sigma * sl_sign, u + v1, mu1, v2 + w, mu2))
 
     # the shuffle identity right side: r-vectors below the lower
     # degrees, each with its binomial weight and the moved degrees
@@ -206,8 +210,7 @@ def _rewrite_pair(r1: Biproduct, r2: Biproduct) -> list[tuple[int, Rows]]:
         for su, (u1, u2) in word_slices(u, (usize, len(u) - usize)):
             for cr, up, down in moves:
                 out.extend(_pair_terms(sign_uv * su * cr * (-1) ** len(u2),
-                                       make_biproduct(v + u1, up),
-                                       make_biproduct(u2 + w, down)))
+                                       v + u1, up, u2 + w, down))
     return out
 
 
@@ -224,54 +227,34 @@ def _compositions(total: int, caps):
             yield (r,) + rest
 
 
-def _order_key(order):
-    if callable(order):
-        return order
-    if order == "deglex":
-        def key(rows: Rows):
-            return (sum(len(r.word) for r in rows),
-                    tuple(r.sort_key() for r in rows))
-        return key
-    if order == "revlex":
-        def key(rows: Rows):
-            return (-sum(len(r.word) for r in rows),
-                    tuple(r.sort_key() for r in rows))
-        return key
-    raise ValueError(f"unknown term order {order!r}")
+def _straighten_key(rows: Rows):
+    """The term order of the rewrite: total word length, then the rows'
+    words and degrees.  Equal keys mean equal row tuples."""
+    return (sum(len(r.word) for r in rows), tuple(r.sort_key() for r in rows))
 
 
-def straighten(e: BitableauElement, order="deglex",
-               budget: int = 10 ** 6) -> BitableauElement:
+def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
     """Rewrite until every surviving row product is standard.
 
-    The term order decides which term is processed next; the final
-    value in the letterplace algebra does not depend on it.  Each step
-    takes the least live term, the first to enter the worklist among
-    equal keys.  A heap beside the worklist holds ``(key, n, rows)``,
-    pushed when ``rows`` enters the worklist with a running count
-    ``n``, so each key is computed once per entry and row products are
-    never compared; an entry whose rows have since left the worklist,
-    or re-entered under a later count, is skipped when popped.  The
+    Each step takes the live term of least :func:`_straighten_key`.  A
+    heap beside the worklist holds ``(key, rows)``, pushed when ``rows``
+    enters the worklist, so each key is computed once per entry; an
+    entry whose rows have since left the worklist is skipped when
+    popped.  The key tells row tuples apart, so two equal heap entries
+    hold the same rows and row products are never compared.  The
     rewrite of each violating pair is built once per call and reused
-    when the same pair recurs.  The budget counts rewrite steps,
-    reused rewrites included; exceeding it raises, which signals a
-    defective order choice rather than a data error.
+    when the same pair recurs.  The budget counts rewrite steps, reused
+    rewrites included; exceeding it raises.
     """
-    key = _order_key(order)
     work: dict[Rows, int] = {}
-    live: dict[Rows, int] = {}
     heap: list = []
-    count = 0
 
     def add(rows: Rows, c: int):
         # c is never 0: input terms are nonzero, and so is every
         # rewrite coefficient
-        nonlocal count
         v = work.get(rows)
         if v is None:
-            count += 1
-            live[rows] = count
-            heappush(heap, (key(rows), count, rows))
+            heappush(heap, (_straighten_key(rows), rows))
             work[rows] = c
         elif v + c:
             work[rows] = v + c
@@ -284,9 +267,7 @@ def straighten(e: BitableauElement, order="deglex",
     rewrites: dict[tuple[Biproduct, Biproduct], tuple] = {}
     steps = 0
     while work:
-        _, n, rows = heappop(heap)
-        if live[rows] != n:
-            continue
+        _, rows = heappop(heap)
         coeff = work.pop(rows, None)
         if coeff is None:
             continue

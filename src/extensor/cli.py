@@ -510,7 +510,7 @@ def cmd_straighten(args) -> int:
         value = BitableauElement.from_letterplace(value)
     if not isinstance(value, BitableauElement):
         raise EvalError("straighten needs a product of biproducts")
-    result = straighten(value, order=args.order, budget=args.budget)
+    result = straighten(value, budget=args.budget)
     if result.to_letterplace() != value.to_letterplace():
         print("internal error: value not preserved", file=sys.stderr)
         return 1
@@ -581,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_str = sub.add_parser("straighten", help="straighten a product of biproducts")
     p_str.add_argument("-e", "--expression", required=True)
-    p_str.add_argument("--order", default="deglex", choices=("deglex", "revlex"))
     p_str.add_argument("--budget", type=int, default=10 ** 6)
     p_str.set_defaults(func=cmd_straighten)
 

@@ -19,6 +19,7 @@ from .cg_algebra import OrderedBasis, PeanoSpace, standard_basis
 from .exterior import ExteriorElement, extensor_span, make_extensor
 from .tensor_power import TensorPowerElement, contains, diamond
 from .tensorops import _sum_terms
+from .words import inversions
 from . import linalg
 
 
@@ -118,12 +119,10 @@ def verify_alternative_r(avecs, bexts, ps: PeanoSpace) -> Report:
     lhs = ps.meet_chain(make_extensor(avecs, n), *bexts)
     rhs = Fraction(0)
     for sigma in permutations(range(r)):
-        inv = sum(1 for i in range(r) for j in range(i + 1, r)
-                  if sigma[i] > sigma[j])
         term = Fraction(1)
         for i in range(r):
             term *= scalar_of(ps.meet(aexts[sigma[i]], bexts[i]))
-        rhs += (-1) ** inv * term
+        rhs += (-1) ** inversions(sigma) * term
     return _report("alternative-laws-row", f"r={r} n={n}",
                    scalar_of(lhs), rhs)
 

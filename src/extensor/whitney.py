@@ -25,7 +25,7 @@ from .bitableau import BitableauElement, standard_expansion
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
 from .letterplace import (LetterplaceElement, _graded_components,
-                          _sum_products, expand_raw, phi)
+                          _sum_products, _var_key, expand_raw, phi)
 from .tensor_power import TensorPowerElement
 from .words import word_slices
 
@@ -260,7 +260,7 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
                 yield [(x, p) for p in places] + tail
 
     for seq in rec(0, caps):
-        yield tuple(sorted(seq, key=lambda v: (v[1], v[0])))
+        yield tuple(sorted(seq, key=_var_key))
 
 
 def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,

@@ -2,15 +2,16 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
-                                _compositions, _first_violation, _order_key,
-                                _rewrite_pair, _standard_candidates,
+                                _compositions, _first_violation, _rewrite_pair,
+                                _standard_candidates, _straighten_key,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
 from extensor.letterplace import Biproduct, LetterplaceElement, make_biproduct
+from extensor.tensorops import _sum_terms
 
 LETTERS = "abcdef"
 
@@ -115,14 +116,6 @@ class TestStraighten:
             assert all(_first_violation(rows) is None for rows in s.terms)
             assert s.to_letterplace() == b.to_letterplace()
 
-    def test_order_choice_preserves_the_value(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            b = rand_two_rows(rng, 2)
-            v1 = straighten(b, order="deglex").to_letterplace()
-            v2 = straighten(b, order="revlex").to_letterplace()
-            assert v1 == v2 == b.to_letterplace()
-
     def test_three_row_products(self):
         rng = random.Random(4)
         for _ in range(25):
@@ -180,16 +173,15 @@ class TestStraighten:
             rows_of(2, ("ab", degrees))
 
 
-def reference_straighten(e, order):
+def reference_straighten(e):
     """The rewrite loop without a heap or a memo: each step takes
-    ``min`` over the worklist, whose ties go to the first key inserted,
-    and rebuilds the pair rewrite.  Returns the terms and the steps."""
-    key = _order_key(order)
+    ``min`` over the worklist and rebuilds the pair rewrite.  Returns
+    the terms and the steps."""
     work = dict(e.terms)
     done = {}
     steps = 0
     while work:
-        rows = min(work, key=key)
+        rows = min(work, key=_straighten_key)
         coeff = work.pop(rows)
         idx = _first_violation(rows)
         if idx is None:
@@ -225,11 +217,6 @@ def one_step(b):
                                   for c2, new in _rewrite_pair(rows[idx], rows[idx + 1])})
 
 
-# The key of a callable order decides only the processing order; these
-# tie often, so the first-inserted tie-break decides most steps.
-TIED_ORDERS = (lambda rows: len(rows), lambda rows: len(rows[0].word))
-
-
 class TestStraightenAgainstReference:
     def elements(self):
         rng = random.Random(9)
@@ -243,16 +230,78 @@ class TestStraightenAgainstReference:
                 yield b - one_step(b) + rand_rows(rng, m, count, max_len)
                 yield b - one_step(b)
 
-    @pytest.mark.parametrize("order", ("deglex", "revlex") + TIED_ORDERS)
-    def test_same_terms_in_the_same_order_and_steps(self, order):
+    def test_same_terms_in_the_same_order_and_steps(self):
         for b in self.elements():
-            want, steps = reference_straighten(b, order)
-            got = straighten(b, order=order, budget=steps)
+            want, steps = reference_straighten(b)
+            got = straighten(b, budget=steps)
             assert list(got.terms.items()) == list(want.items())
             assert str(got) == str(b._like(want))
             if steps:
                 with pytest.raises(StraighteningBudgetExceeded):
-                    straighten(b, order=order, budget=steps - 1)
+                    straighten(b, budget=steps - 1)
+
+
+@st.composite
+def degrees_for(draw, n, m=3):
+    """A normalized place multidegree of total ``n`` over places 1..m."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return tuple((p, q) for p, q in enumerate(sizes, start=1) if q)
+
+
+@st.composite
+def biproducts(draw, letters="abcde"):
+    word = tuple(sorted(draw(st.sets(st.sampled_from(letters), min_size=1, max_size=3))))
+    return Biproduct(word, draw(degrees_for(len(word))))
+
+
+row_tuples = st.lists(biproducts(), max_size=3).map(tuple)
+
+
+@st.composite
+def row_tuple_pairs(draw):
+    """Two row tuples, often close: equal, the same words under other
+    degrees, one row more or less, or unrelated."""
+    a = draw(row_tuples)
+    how = draw(st.sampled_from(("equal", "degrees", "longer", "shorter", "any")))
+    if how == "equal":
+        b = tuple(Biproduct(r.word, r.degrees) for r in a)
+    elif how == "degrees":
+        b = tuple(Biproduct(r.word, draw(degrees_for(len(r.word)))) for r in a)
+    elif how == "longer":
+        b = a + (draw(biproducts()),)
+    elif how == "shorter":
+        b = a[:-1]
+    else:
+        b = draw(row_tuples)
+    return a, b
+
+
+class TestStraightenInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(row_tuple_pairs())
+    def test_the_key_tells_row_tuples_apart(self, pair):
+        # the heap holds (key, rows): equal keys must mean equal rows,
+        # so that ordering two entries never compares biproducts
+        a, b = pair
+        ka, kb = _straighten_key(a), _straighten_key(b)
+        assert (ka == kb) == (a == b)
+        sorted([(ka, a), (kb, b)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(biproducts(), biproducts())
+    def test_rewrite_rows_are_normalized_and_keep_the_value(self, r1, r2):
+        pair = (r1, r2)
+        if _first_violation(pair) is None:
+            pair = (r2, r1)
+        assume(_first_violation(pair) is not None)
+        out = _rewrite_pair(*pair)
+        for _, rows in out:
+            for r in rows:
+                assert make_biproduct(r.word, r.degrees) == (1, r)
+        m = 3
+        rewritten = BitableauElement(m, _sum_terms((rows, c) for c, rows in out))
+        assert rewritten.to_letterplace() == BitableauElement(m, {pair: 1}).to_letterplace()
 
 
 @pytest.mark.parametrize("caps", [(), (0,), (3,), (2, 0, 1), (1, 3, 2)])
