@@ -217,6 +217,24 @@ def one_step(b):
                                   for c2, new in _rewrite_pair(rows[idx], rows[idx + 1])})
 
 
+def _key_of_term(term):
+    return _straighten_key(term[0])
+
+
+def deglex(terms):
+    return sorted(terms, key=_key_of_term)
+
+
+def reversed_deglex(terms):
+    return sorted(terms, key=_key_of_term, reverse=True)
+
+
+# Ways to insert the input terms.  The key orders every row tuple, so
+# the result may not depend on which one built the input.
+ARRANGEMENTS = (deglex, reversed_deglex, lambda terms: terms,
+                lambda terms: random.Random(0).sample(terms, len(terms)))
+
+
 class TestStraightenAgainstReference:
     def elements(self):
         rng = random.Random(9)
@@ -230,15 +248,18 @@ class TestStraightenAgainstReference:
                 yield b - one_step(b) + rand_rows(rng, m, count, max_len)
                 yield b - one_step(b)
 
-    def test_same_terms_in_the_same_order_and_steps(self):
+    @pytest.mark.parametrize("arrange", ARRANGEMENTS,
+                             ids=("deglex", "reversed", "<lambda>0", "<lambda>1"))
+    def test_same_terms_in_the_same_order_and_steps(self, arrange):
         for b in self.elements():
             want, steps = reference_straighten(b)
-            got = straighten(b, budget=steps)
+            e = BitableauElement(b.m, dict(arrange(list(b.terms.items()))))
+            got = straighten(e, budget=steps)
             assert list(got.terms.items()) == list(want.items())
             assert str(got) == str(b._like(want))
             if steps:
                 with pytest.raises(StraighteningBudgetExceeded):
-                    straighten(b, budget=steps - 1)
+                    straighten(e, budget=steps - 1)
 
 
 @st.composite
