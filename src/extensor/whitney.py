@@ -8,7 +8,10 @@ form expands an element in the doubly standard basis and drops every
 basis product that contains a dependent row.  The deletion is sound by
 construction but not complete: some members of the ideal keep a
 nonzero normal form, so the brute-force linear-algebra membership
-oracle is the test of zero.
+oracle is the test of zero.  The oracle builds the echelon of each
+ideal component once per :class:`Matroid` and keeps it on the matroid,
+so the echelons live as long as the matroid does and their memory
+grows with the number of distinct components met.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ class Matroid:
         self.name = name or f"matroid({''.join(self.ground)})"
         self._rank_fn = rank_fn
         self._cache: dict[frozenset, int] = {}
+        # ideal component echelons of the membership oracle, keyed by
+        # (place degrees, content, m); see _ideal_echelon
+        self._ideal_echelons: dict[tuple, linalg.SparseEchelon] = {}
         self._spot_check()
 
     def rank(self, subset: Iterable[str]) -> int:
@@ -263,6 +269,50 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
         yield tuple(sorted(seq, key=_var_key))
 
 
+def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
+                   m: int) -> linalg.SparseEchelon:
+    """The echelon of the ideal component with place degrees ``pdeg_t``
+    and letter content ``content_t`` in m places.
+
+    Spanned by the monomial multiples of the dependent-word biproducts
+    of the component.  Built on first use and kept in the matroid's
+    ``_ideal_echelons``, so it lives as long as the matroid; callers
+    only reduce against it.
+    """
+    key = (pdeg_t, content_t, m)
+    echelon = matroid._ideal_echelons.get(key)
+    if echelon is not None:
+        return echelon
+    pdeg = dict(pdeg_t)
+    content = dict(content_t)
+    degree = sum(pdeg.values())
+    support = [x for x, c in content.items() if c]
+    echelon = linalg.SparseEchelon()
+    for size in range(1, degree + 1):
+        for wset in combinations(sorted(support), size):
+            if matroid.is_independent(wset):
+                continue
+            rest_content = dict(content)
+            for x in wset:
+                rest_content[x] -= 1
+            for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
+                                   for p in range(1, m + 1))):
+                if sum(comp) != size:
+                    continue
+                gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
+                gen = expand_raw(wset, gen_deg, m)
+                if not gen:
+                    continue
+                rest_pdeg = {p: pdeg.get(p, 0) - gen_deg.get(p, 0)
+                             for p in range(1, m + 1)}
+                for mono in _monomials_with(rest_content, rest_pdeg, m):
+                    mult = LetterplaceElement(m, {mono: 1}) * gen
+                    if mult:
+                        echelon.insert(mult.terms)
+    matroid._ideal_echelons[key] = echelon
+    return echelon
+
+
 def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
                                 max_degree: int = 8) -> bool:
     """Desk-scale membership oracle for the defining ideal.
@@ -271,40 +321,20 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     each graded piece of the ideal by monomial multiples of the
     dependent-word biproducts, and decides membership by exact
     elimination.  Independent of the straightening route.
+
+    Each component's echelon is built once per matroid and lives as
+    long as the matroid does, so the matroid's memory grows with the
+    number of distinct components the oracle has met.  Every component
+    of ``e`` is checked against ``max_degree`` before any is looked up
+    or built.
     """
-    m = e.m
-    for (pdeg_t, content_t), vec in _graded_components(e).items():
-        pdeg = dict(pdeg_t)
-        content = dict(content_t)
-        degree = sum(pdeg.values())
+    components = _graded_components(e)
+    for pdeg_t, _ in components:
+        degree = sum(q for _, q in pdeg_t)
         if degree > max_degree:
             raise ValueError(f"component of degree {degree} exceeds the configured limit")
-        support = [x for x, c in content.items() if c]
-        echelon = linalg.SparseEchelon()
-        for size in range(1, degree + 1):
-            for wset in combinations(sorted(support), size):
-                if matroid.is_independent(wset):
-                    continue
-                rest_content = dict(content)
-                for x in wset:
-                    rest_content[x] -= 1
-                for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
-                                       for p in range(1, m + 1))):
-                    if sum(comp) != size:
-                        continue
-                    gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
-                    gen = expand_raw(wset, gen_deg, m)
-                    if not gen:
-                        continue
-                    rest_pdeg = {p: pdeg.get(p, 0) - gen_deg.get(p, 0)
-                                 for p in range(1, m + 1)}
-                    for mono in _monomials_with(rest_content, rest_pdeg, m):
-                        mult = LetterplaceElement(m, {mono: 1}) * gen
-                        if mult:
-                            echelon.insert(mult.terms)
-        if echelon.reduce(vec):
-            return False
-    return True
+    return not any(_ideal_echelon(matroid, pdeg_t, content_t, e.m).reduce(vec)
+                   for (pdeg_t, content_t), vec in components.items())
 
 
 # -- exchange relations ------------------------------------------------

@@ -56,21 +56,25 @@ def position_slices(n, parts):
     parts = tuple(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return
-
-    def rec(remaining, sizes):
-        if not sizes:
-            yield ()
-            return
-        k = sizes[0]
-        for block in combinations(remaining, k):
-            taken = set(block)
-            rest = tuple(x for x in remaining if x not in taken)
-            for tail in rec(rest, sizes[1:]):
-                yield (block,) + tail
-
-    for blocks in rec(tuple(range(n)), parts):
-        flat = [i for b in blocks for i in b]
-        yield (-1) ** inversions(flat), blocks
+    if len(parts) < 2:
+        yield 1, ((tuple(range(n)),) if parts else ())
+        return
+    # the first block makes sum(block) - k(k-1)/2 inversions with the
+    # positions left after it, which the other blocks slice in their own
+    # order; the last block is what is left
+    k = parts[0]
+    base = k * (k - 1) // 2
+    tails = None if len(parts) == 2 else tuple(position_slices(n - k, parts[1:]))
+    for block in combinations(range(n), k):
+        sign = -1 if (sum(block) - base) & 1 else 1
+        taken = set(block)
+        rest = tuple(i for i in range(n) if i not in taken)
+        if tails is None:
+            yield sign, (block, rest)
+            continue
+        for tail_sign, tail in tails:
+            yield sign * tail_sign, (block,) + tuple(
+                tuple(rest[i] for i in b) for b in tail)
 
 
 def word_slices(word, parts):

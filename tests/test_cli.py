@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -280,6 +281,21 @@ class TestCommands:
         assert main(["matroid", str(path), "polarization",
                      "--max-degree", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "case", json.loads(Path(__file__).with_name("matroid_golden.json").read_text()),
+        ids=lambda case: " ".join([case["name"]] + case["args"]))
+    def test_matroid_sweep_output_is_pinned(self, tmp_path, capsys, case):
+        # outputs over about 20 KB are pinned by their SHA-256 and line count
+        path = tmp_path / "matroid.json"
+        path.write_text(json.dumps(case["matroid"]))
+        assert main(["matroid", str(path)] + case["args"]) == case["exit"]
+        out = capsys.readouterr().out
+        if "stdout" in case:
+            assert out == case["stdout"]
+        else:
+            assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) \
+                == (case["sha256"], case["lines"])
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["matroid", "nosuch.json", "exchange"]) == 2

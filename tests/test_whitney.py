@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extensor import linalg
 from extensor.bitableau import (BitableauElement, _first_violation,
                                 standard_expansion, straighten)
-from extensor.letterplace import (LetterplaceElement, expand_raw, phi,
-                                  polarize, polarize_divided)
+from extensor.letterplace import (LetterplaceElement, _graded_components,
+                                  expand_raw, phi, polarize, polarize_divided)
 from extensor.tensor_power import TensorPowerElement, diamond
 from extensor.whitney import (Matroid, NotARepresentation, WhitneyElement,
                               check_representation, exchange_check,
@@ -392,6 +393,85 @@ class TestNormalFormProperties:
     def test_additive(self, elements):
         a, b = elements
         assert wh_normal_form(a + b) == wh_normal_form(a) + wh_normal_form(b)
+
+
+def fresh_copy(matroid):
+    """The same matroid as a new instance, with no rank or echelon kept."""
+    return Matroid(matroid.ground, matroid._rank_fn, name=matroid.name)
+
+
+@pytest.fixture
+def echelon_builds(monkeypatch):
+    """Every SparseEchelon created while the test runs."""
+    built = []
+
+    class Counted(linalg.SparseEchelon):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(linalg, "SparseEchelon", Counted)
+    return built
+
+
+class TestOracleEchelons:
+    """The oracle keeps each ideal component's echelon on the matroid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matroid_and_elements(2))
+    def test_a_warm_matroid_answers_as_a_fresh_one(self, elements):
+        # MATROIDS are shared across examples, so their echelons are warm
+        for e in elements:
+            assert ideal_membership_bruteforce(e.raw, e.matroid) == \
+                ideal_membership_bruteforce(e.raw, fresh_copy(e.matroid))
+
+    def test_each_component_is_built_once_per_matroid(self, echelon_builds):
+        matroid = six_point_matroid()
+        member = expand_raw("abd", {1: 2, 2: 1}, 2) + \
+            expand_raw("bcf", {1: 3}, 2) * LetterplaceElement.generator(2, "a", 2)
+        other = LetterplaceElement.from_vars(2, [("a", 1), ("b", 1), ("d", 2)])
+        assert ideal_membership_bruteforce(member, matroid)
+        assert len(echelon_builds) == 2
+        # other lies in the component of the abd generator
+        assert not ideal_membership_bruteforce(other, matroid)
+        assert len(echelon_builds) == 2
+        # repeat calls build nothing, and reducing leaves the echelons as
+        # they were: the non-member stays a non-member
+        assert ideal_membership_bruteforce(member, matroid)
+        assert not ideal_membership_bruteforce(other, matroid)
+        assert len(echelon_builds) == 2
+        assert len(matroid._ideal_echelons) == 2
+        # a new instance of the same matroid builds its own
+        assert ideal_membership_bruteforce(member, six_point_matroid())
+        assert len(echelon_builds) == 4
+
+    def test_the_degree_limit_is_checked_before_any_build(self):
+        matroid = six_point_matroid()
+        high = expand_raw("bcf", {1: 3}, 2) * LetterplaceElement.from_vars(
+            2, [("a", 2), ("d", 2)])
+        assert ideal_membership_bruteforce(high, matroid)
+        warm = dict(matroid._ideal_echelons)
+        assert len(warm) == 1
+        # the unbuilt degree-3 component comes first, the warm degree-5
+        # one second
+        mixed = expand_raw("abd", {1: 2, 2: 1}, 2) + high
+        assert [sum(q for _, q in pdeg) for pdeg, _ in _graded_components(mixed)] \
+            == [3, 5]
+        with pytest.raises(ValueError, match="component of degree 5 exceeds"):
+            ideal_membership_bruteforce(mixed, matroid, max_degree=4)
+        assert matroid._ideal_echelons == warm
+
+    def test_the_same_component_in_two_and_three_places(self):
+        matroid = six_point_matroid()
+        for m in (2, 3, 2):
+            member = expand_raw("abd", {1: 2, 2: 1}, m)
+            other = LetterplaceElement.from_vars(m, [("a", 1), ("b", 1), ("d", 2)])
+            assert ideal_membership_bruteforce(member, matroid)
+            assert not ideal_membership_bruteforce(other, matroid)
+            assert not ideal_membership_bruteforce(member + other, matroid)
+        assert sorted(m for _, _, m in matroid._ideal_echelons) == [2, 3]
 
 
 @pytest.mark.xfail(strict=True, reason="deleting dependent-row products is "
