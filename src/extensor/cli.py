@@ -37,6 +37,7 @@ from .bitableau import (BitableauElement, StraighteningBudgetExceeded,
 from .cg_algebra import PeanoSpace, standard_basis
 from .exterior import ExteriorElement, as_vector
 from .identity_suite import SUITES, Report, run_suite
+from .linalg import rational
 from .letterplace import LetterplaceElement
 from .tensor_power import TensorPowerElement, diamond
 from .whitney import (WhitneyElement, exchange_check, make_matroid,
@@ -319,11 +320,10 @@ class Environment:
 
     @classmethod
     def from_file(cls, path: str) -> "Environment":
-        """Read ``{"dim": 3, "vectors": {"p": ["1/2", 0, 1]},
+        """Read ``{"dim": 3, "vectors": {"p": ["1/2", 0.5, 1]},
         "integral_scale": "1"}``, every field optional.  A malformed
         document raises ValueError."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_document(path)
         if not isinstance(doc, dict):
             raise ValueError("an environment document must be a JSON object")
         dim, vectors = doc.get("dim", 3), doc.get("vectors", {})
@@ -333,12 +333,20 @@ class Environment:
         if not (isinstance(vectors, dict)
                 and all(isinstance(v, list) for v in vectors.values())):
             raise ValueError("environment field 'vectors' must map names to lists")
-        if type(scale) not in (str, int, float):
+        if type(scale) not in (str, int, Fraction):
             raise ValueError("environment field 'integral_scale' must be a string or a number")
         try:
-            return cls(dim, vectors, Fraction(scale))
-        except (TypeError, OverflowError) as exc:
+            vectors = {name: [rational(c) for c in v] for name, v in vectors.items()}
+            return cls(dim, vectors, rational(scale))
+        except TypeError as exc:
             raise ValueError(f"bad environment entry: {exc}") from None
+
+
+def read_document(path: str):
+    """The JSON document in ``path``, its decimal literals read as exact
+    rationals by :func:`linalg.rational`."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_float=rational)
 
 
 # binary operator nodes, ("add", left, right) and so on
@@ -524,8 +532,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matroid(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        matroid = make_matroid(json.load(fh))
+    matroid = make_matroid(read_document(args.file))
     reports: list[Report] = []
     if args.check == "exchange":
         words = list(matroid.independent_sorted_words(args.max_word))
@@ -602,10 +609,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _expression_values(argv: list) -> list:
+    """``-e X`` and ``--expression X`` of ``eval`` and ``straighten`` as
+    ``--expression=X``, so that an expression starting with ``-`` (say
+    ``-e1``) is read as the value and not as another option."""
+    if argv[:1] not in (["eval"], ["straighten"]):
+        return argv
+    out = argv[:1]
+    rest = iter(argv[1:])
+    for token in rest:
+        if token in ("-e", "--expression"):
+            value = next(rest, None)
+            token = token if value is None else f"--expression={value}"
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_expression_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -5,6 +5,10 @@ of 1-based basis indices) to Fraction coefficients; the empty word is
 the unit.  Extensors are wedges of vectors built with
 :func:`make_extensor`; a vector is a tuple of ``dim`` rationals.  All
 values are immutable after construction and all operations are pure.
+
+The wedge multiplies integer numerators over each operand's common
+denominator and makes one ``Fraction`` per output word; word merges and
+slices are table lookups in :mod:`extensor.words`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .tensorops import SparseTerms, _sum_terms
+from .tensorops import SparseTerms, _fractions, _numerators, _sum_terms
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -82,10 +86,16 @@ class ExteriorElement(SparseTerms):
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The join: bilinear, associative, graded-anticommutative."""
         self._check(other)
-        return self._like(_sum_terms(
-            (w, sign * cu * cv)
-            for u, cu in self.terms.items() for v, cv in other.terms.items()
-            for sign, w in [merge_words(u, v)] if sign))
+        nu, du = _numerators(self.terms)
+        nv, dv = _numerators(other.terms)
+        out: dict = {}
+        for u, a in nu.items():
+            for v, b in nv.items():
+                sign, w = merge_words(u, v)
+                if sign:
+                    p = a * b if sign > 0 else -a * b
+                    out[w] = out.get(w, 0) + p
+        return self._like(_fractions(out, du * dv))
 
     __xor__ = wedge
 
@@ -121,8 +131,8 @@ class ExteriorElement(SparseTerms):
         if any(p < 0 for p in parts):
             raise ValueError("negative part size")
         total = sum(parts)
-        out = _sum_terms((blocks, sign * c) for word, c in self.terms.items()
-                         if len(word) == total
+        out = _sum_terms((blocks, c if sign > 0 else -c)
+                         for word, c in self.terms.items() if len(word) == total
                          for sign, blocks in word_slices(word, parts))
         return TensorPowerElement._trusted(out, self.dim, len(parts))
 

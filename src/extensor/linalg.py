@@ -3,12 +3,40 @@
 Dense Gaussian elimination with first-nonzero pivoting, so every result
 is deterministic and reproducible.  Matrices are lists of rows of
 Fractions; everything stays exact.  :class:`SparseEchelon` does the same
-for sparse vectors keyed by ordered basis keys.
+for sparse vectors keyed by ordered basis keys.  :func:`rational` reads
+the numbers of an input document exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# |e| for a decimal "...e<e>": 10**e is built in full before reducing
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
+def rational(value) -> Fraction:
+    """``value`` (an int, a Fraction, a float, or a string such as
+    ``"1/2"`` or ``"1.5e3"``) as an exact rational.
+
+    A float is read as its shortest decimal, so a JSON ``0.1`` is 1/10.
+    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` raises ValueError
+    before any power of ten is built; a value of no rational type raises
+    TypeError.
+    """
+    if isinstance(value, float):
+        value = repr(value)
+    if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        digits = found and found.group(1).replace("_", "").lstrip("0")
+        if digits and (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                       or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError("decimal exponent beyond the limit of "
+                             f"MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}")
+    return Fraction(value)
 
 
 def _copy(rows):

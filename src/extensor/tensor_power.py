@@ -60,13 +60,16 @@ class TensorPowerElement(SparseTerms):
         if not factors:
             raise ValueError("need at least one fold")
         dim = factors[0].dim
-        terms: dict[tuple[Word, ...], Fraction] = {(): Fraction(1)}
+        terms: dict[tuple[Word, ...], int] = {(): 1}
+        d = 1
         for f in factors:
             if f.dim != dim:
                 raise DimensionMismatch("mixed dimensions in tensor factors")
-            terms = {key + (w,): c * cw
-                     for key, c in terms.items() for w, cw in f.terms.items()}
-        return cls._trusted(terms, dim, len(factors))
+            nf, df = tensorops._numerators(f.terms)
+            terms = {key + (w,): c * n
+                     for key, c in terms.items() for w, n in nf.items()}
+            d *= df
+        return cls._trusted(tensorops._fractions(terms, d), dim, len(factors))
 
     def __mul__(self, other):
         if isinstance(other, TensorPowerElement):

@@ -14,10 +14,23 @@ is defined on basis keys and extended linearly; it hands its
 (key, coefficient) images to :func:`_sum_terms`, or its
 (element, coefficient) parts to :meth:`SparseTerms._sum`, and the
 trusted constructor drops the keys that cancelled.  The two kernels
-return such sums as plain dicts, for their callers' ``_like``.
+return such sums as plain dicts, for their callers' ``_like``.  Each
+kernel term folds its +-1 factors (Koszul, slice and merge signs) into
+one int sign and applies it once, so a term costs at most one
+coefficient product.
+
+Over the rationals a product of two sums can run on integers instead:
+:func:`_numerators` writes each operand over one common denominator,
+the loop multiplies and adds integer numerators, and
+:func:`_fractions` turns each output key into one ``Fraction`` at the
+end.  The exterior wedge and the pure tensor
+(``TensorPowerElement.from_elements``) work this way.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .words import merge_words, word_slices
 
@@ -173,6 +186,18 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
+def _numerators(terms: dict):
+    """``(numerators, d)`` with ``terms[k] == numerators[k] / d`` for
+    every key, ``d`` the least common denominator of the coefficients."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
+
+
+def _fractions(numerators: dict, d: int) -> dict:
+    """The nonzero ``numerators[k] / d`` as ``Fraction`` coefficients."""
+    return {k: Fraction(n, d) for k, n in numerators.items() if n}
+
+
 def fold_sort_key(key):
     """Print order of m-fold keys: fold by fold, shorter words first."""
     return tuple((len(w), w) for w in key)
@@ -206,7 +231,7 @@ def graded_product_terms(a_terms: dict, b_terms: dict) -> dict:
             for kb, cb in b_terms.items():
                 koszul = sum(len(ka[i]) * len(kb[j])
                              for i in range(len(ka)) for j in range(i))
-                sign = -1 if koszul % 2 else 1
+                sign = -1 if koszul & 1 else 1
                 folds = []
                 for u, v in zip(ka, kb):
                     s, w = merge_words(u, v)
@@ -215,7 +240,8 @@ def graded_product_terms(a_terms: dict, b_terms: dict) -> dict:
                     sign *= s
                     folds.append(w)
                 else:
-                    yield tuple(folds), sign * ca * cb
+                    c = ca * cb
+                    yield tuple(folds), c if sign > 0 else -c
 
     return _sum_terms(pairs())
 
@@ -249,15 +275,17 @@ def diamond_terms(terms: dict, h: int, dest: int, src: int, m: int) -> dict:
             if h > len(w):
                 continue
             between = sum(len(key[k]) for k in range(lo, hi - 1))
-            pref = -1 if (h * between) % 2 else 1
+            pref = -1 if (h * between) & 1 else 1
             parts = (len(w) - h, h) if raising else (h, len(w) - h)
+            target = key[dest - 1]
             for sl_sign, blocks in word_slices(w, parts):
                 kept, moved = blocks if raising else blocks[::-1]
-                msign, merged = (merge_words(moved, key[dest - 1]) if raising
-                                 else merge_words(key[dest - 1], moved))
+                msign, merged = (merge_words(moved, target) if raising
+                                 else merge_words(target, moved))
                 if msign:
                     folds = list(key)
                     folds[src - 1], folds[dest - 1] = kept, merged
-                    yield tuple(folds), c * pref * sl_sign * msign
+                    sign = pref * sl_sign * msign
+                    yield tuple(folds), c if sign > 0 else -c
 
     return _sum_terms(pairs())

@@ -16,7 +16,6 @@ grows with the number of distinct components met.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -138,7 +137,8 @@ def make_matroid(doc: Mapping) -> Matroid:
 
     ``{"kind": "uniform", "n": 3, "k": 2}`` or
     ``{"kind": "linear", "letters": [...], "columns": [[...], ...]}``
-    with rationals as strings; ``letters`` is optional in both.  A
+    with rationals as numbers or strings, read exactly by
+    :func:`linalg.rational`; ``letters`` is optional in both.  A
     malformed document raises ValueError.
     """
     if not isinstance(doc, Mapping):
@@ -160,8 +160,8 @@ def make_matroid(doc: Mapping) -> Matroid:
         if len(letters) != len(cols) or len(set(letters)) != len(letters):
             raise ValueError("need one distinct letter per column")
         try:
-            vecs = [[Fraction(c) for c in col] for col in cols]
-        except (TypeError, OverflowError) as exc:
+            vecs = [[linalg.rational(c) for c in col] for col in cols]
+        except TypeError as exc:
             raise ValueError(f"bad column entry: {exc}") from None
         return Matroid.linear(dict(zip(letters, vecs)))
     raise ValueError(f"unknown matroid kind {kind!r}")

@@ -4,10 +4,17 @@ A word is a tuple of pairwise distinct, totally ordered atoms: basis
 indices on the coordinate side, letters on the letterplace side.  All
 signs are permutation parities relative to the written order of the
 word, so the same helpers serve both sides.
+
+:func:`merge_words` and :func:`word_slices` are pure functions of their
+(tuple) arguments, and a computation meets only a few hundred distinct
+ones, so each looks its answer up in a private unbounded table
+(``_merge`` and ``_slices``, see their ``cache_info()``) that lives as
+long as the process.  The answers are immutable tuples.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -39,6 +46,11 @@ def merge_words(u, v):
     the parity of the shuffle taking the concatenation uv to sorted
     order.
     """
+    return _merge(tuple(u), tuple(v))
+
+
+@lru_cache(maxsize=None)
+def _merge(u: tuple, v: tuple):
     if set(u) & set(v):
         return 0, None
     cross = sum(1 for x in u for y in v if x > y)
@@ -78,7 +90,12 @@ def position_slices(n, parts):
 
 
 def word_slices(word, parts):
-    """Signed slices of ``word`` into subwords of the given sizes."""
-    word = tuple(word)
-    for sign, blocks in position_slices(len(word), parts):
-        yield sign, tuple(tuple(word[i] for i in b) for b in blocks)
+    """Signed slices of ``word`` into subwords of the given sizes: a
+    tuple of ``(sign, blocks)`` in :func:`position_slices` order."""
+    return _slices(tuple(word), tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _slices(word: tuple, parts: tuple):
+    return tuple((sign, tuple(tuple(word[i] for i in b) for b in blocks))
+                 for sign, blocks in position_slices(len(word), parts))

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from extensor import cli
 from extensor.cg_algebra import standard_basis
 from extensor.cli import (MAX_DIM, Environment, EvalError, ParseError,
-                          build_parser, evaluate_text, main, parse)
+                          build_parser, evaluate_text, main, parse,
+                          read_document)
 from extensor.exterior import ExteriorElement
+from extensor.linalg import MAX_DECIMAL_EXPONENT
+from extensor.whitney import make_matroid
 
 
 ENV3 = Environment(dim=3)
@@ -166,9 +169,16 @@ class TestCommands:
     def test_unknown_flag_is_usage_error(self):
         assert main(["eval", "--nonsense"]) == 2
 
-    def test_expression_starting_with_minus_needs_the_equals_form(self, capsys):
-        assert main(["eval", "--expression=-e1"]) == 0
-        assert capsys.readouterr().out == "-e1\n"
+    def test_expression_starting_with_minus_follows_the_option(self, capsys):
+        for argv in (["eval", "-e", "-e1"], ["eval", "--expression", "-e1"],
+                     ["eval", "--expression=-e1"], ["eval", "--dim", "2", "-e", "-e1"]):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == "-e1\n"
+        for argv in (["straighten", "-e", "-bp(ab; 1:1, 2:1)"],
+                     ["straighten", "--expression=-bp(ab; 1:1, 2:1)"],
+                     ["straighten", "-e", "-bp(ab; 1:1, 2:1)", "--budget", "5"]):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == "-bp(ab; 1:1, 2:1)\n"
 
     def test_straighten_command(self, capsys):
         code = main(["straighten", "-e", "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1)"])
@@ -314,7 +324,7 @@ class TestCommands:
          "place 0: places start at 1"),
         (["eval", "-e", "e1", "--nonsense"], "unrecognized arguments: --nonsense"),
         (["eval"], "the following arguments are required"),
-        (["eval", "-e", "-e1"], "expected one argument"),
+        (["eval", "-e"], "expected one argument"),
         (["straighten", "--order", "revlex", "-e", "bp(z; 1:1) ^ bp(x; 1:1)"],
          "unrecognized arguments: --order revlex"),
     ])
@@ -397,6 +407,38 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_decimal_literals_are_exact(self, tmp_path, capsys):
+        path = tmp_path / "env.json"
+        path.write_text('{"dim": 2, "vectors": {"p": [0.1, 1]}, "integral_scale": 2.5e-1}')
+        assert main(["eval", "-e", "p", "--env", str(path)]) == 0
+        assert capsys.readouterr().out == "1/10 e1 + e2\n"
+        assert main(["eval", "-e", "[p, e1]", "--env", str(path)]) == 0
+        assert capsys.readouterr().out == "-4\n"
+        # b = a / 10 exactly, so the two columns are parallel
+        path = tmp_path / "matroid.json"
+        path.write_text('{"kind": "linear", "columns": [[1, 3], [0.1, 0.3]]}')
+        assert make_matroid(read_document(str(path))).rank("ab") == 1
+
+    @pytest.mark.parametrize("text", ["1e{e}", "-1e-{e}", "2.5E+{e}", '"1e{e}"', '"1e-{e}"'])
+    def test_decimal_exponent_limit(self, tmp_path, capsys, text):
+        path = tmp_path / "env.json"
+        entry = text.format(e=MAX_DECIMAL_EXPONENT)
+        path.write_text(f'{{"dim": 2, "vectors": {{"p": [{entry}, 1]}}}}')
+        assert main(["eval", "-e", "p ^ e2", "--env", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(" e1^e2\n")
+        entry = text.format(e=MAX_DECIMAL_EXPONENT + 1)
+        for doc in (f'{{"dim": 2, "vectors": {{"p": [{entry}, 1]}}}}',
+                    f'{{"integral_scale": {entry}}}'):
+            path.write_text(doc)
+            assert main(["eval", "-e", "e1", "--env", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: decimal exponent beyond the limit of "
+                                    f"MAX_DECIMAL_EXPONENT = {MAX_DECIMAL_EXPONENT}\n")
+        path.write_text(f'{{"kind": "linear", "columns": [[{entry}, 1], [0, 1]]}}')
+        assert main(["matroid", str(path), "exchange"]) == 2
+        assert "MAX_DECIMAL_EXPONENT" in capsys.readouterr().err
 
     def test_environment_file_with_every_field(self, tmp_path, capsys):
         path = tmp_path / "env.json"

@@ -1,0 +1,217 @@
+"""The rational kernels against a per-term ``Fraction`` reference.
+
+The wedge and the pure tensor run on integer numerators over a common
+denominator, and the slice, diamond and graded product kernels apply one
+folded sign per term.  Each is compared here with the definition written
+term by term in ``Fraction`` arithmetic, with signs from permutation
+parities, on coefficients whose denominators are 1, 6, a large prime and
+the Mersenne prime 2**61 - 1.  Every stored coefficient must be a nonzero
+``Fraction``.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+from extensor.exterior import ExteriorElement
+from extensor.tensor_power import TensorPowerElement, diamond, graded_product
+
+DENOMINATORS = (1, 6, 1_000_000_007, 2 ** 61 - 1)
+
+coefficients = st.builds(Fraction, st.integers(-5, 5), st.sampled_from(DENOMINATORS))
+
+
+def parity(seq) -> int:
+    odd = sum(1 for i, x in enumerate(seq) for y in seq[i + 1:] if x > y) & 1
+    return -1 if odd else 1
+
+
+def merge(u, v):
+    """``(sign, word)`` of the wedge of two index words, sign 0 when
+    they share an index."""
+    if set(u) & set(v):
+        return 0, None
+    return parity(u + v), tuple(sorted(u + v))
+
+
+def slices(word, parts):
+    """Signed ordered set partitions of ``word`` into blocks of the
+    given sizes, chosen block by block."""
+    if not parts:
+        if not word:
+            yield 1, ()
+        return
+    for first in combinations(word, parts[0]):
+        rest = tuple(x for x in word if x not in first)
+        for _, tail in slices(rest, parts[1:]):
+            blocks = (first,) + tail
+            yield parity([x for b in blocks for x in b]), blocks
+
+
+def add(out, key, c):
+    out[key] = out.get(key, Fraction(0)) + c
+
+
+def nonzero(out):
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_wedge(a, b):
+    out = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            sign, w = merge(u, v)
+            if sign:
+                add(out, w, sign * cu * cv)
+    return nonzero(out)
+
+
+def ref_from_elements(factors):
+    out = {(): Fraction(1)}
+    for f in factors:
+        out = {k + (w,): c * cw for k, c in out.items() for w, cw in f.terms.items()}
+    return nonzero(out)
+
+
+def ref_slice(a, parts):
+    out = {}
+    for word, c in a.terms.items():
+        if len(word) == sum(parts):
+            for sign, blocks in slices(word, parts):
+                add(out, blocks, sign * c)
+    return nonzero(out)
+
+
+def ref_graded_product(s, t):
+    out = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            koszul = sum(len(ka[i]) * len(kb[j])
+                         for i in range(len(ka)) for j in range(i))
+            sign, folds = (-1) ** koszul, []
+            for u, v in zip(ka, kb):
+                fold_sign, w = merge(u, v)
+                sign *= fold_sign
+                folds.append(w)
+            if sign:
+                add(out, tuple(folds), sign * ca * cb)
+    return nonzero(out)
+
+
+def ref_diamond(h, j, i, t):
+    if i == j:
+        return nonzero({k: c * len(k[i - 1]) for k, c in t.terms.items()})
+    out = {}
+    lo, hi = min(i, j), max(i, j)
+    for key, c in t.terms.items():
+        w = key[i - 1]
+        if h > len(w):
+            continue
+        between = sum(len(key[k]) for k in range(lo, hi - 1))
+        sign = (-1) ** (h * between)
+        parts = (len(w) - h, h) if i < j else (h, len(w) - h)
+        for sl, blocks in slices(w, parts):
+            kept, moved = blocks if i < j else blocks[::-1]
+            ms, merged = merge(moved, key[j - 1]) if i < j else merge(key[j - 1], moved)
+            if ms:
+                folds = list(key)
+                folds[i - 1], folds[j - 1] = kept, merged
+                add(out, tuple(folds), sign * sl * ms * c)
+    return nonzero(out)
+
+
+def all_words(dim):
+    return [w for k in range(dim + 1) for w in combinations(range(1, dim + 1), k)]
+
+
+@st.composite
+def exterior(draw, dim, max_terms=5):
+    terms = draw(st.dictionaries(st.sampled_from(all_words(dim)), coefficients,
+                                 max_size=max_terms))
+    return ExteriorElement(dim, terms)
+
+
+@st.composite
+def tensor(draw, dim, m, max_terms=5):
+    keys = st.tuples(*[st.sampled_from(all_words(dim))] * m)
+    return TensorPowerElement(dim, m, draw(st.dictionaries(keys, coefficients,
+                                                          max_size=max_terms)))
+
+
+def assert_stored(x, expected):
+    assert x.terms == expected
+    assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wedge_matches_the_per_term_reference(data):
+    dim = data.draw(st.integers(0, 4))
+    a, b = data.draw(exterior(dim)), data.draw(exterior(dim))
+    assert_stored(a.wedge(b), ref_wedge(a, b))
+    # a vector wedged with itself cancels term by term
+    v = data.draw(exterior(dim)).homogeneous_component(1)
+    assert_stored(v.wedge(v), {})
+    assert_stored((a + v).wedge(v - a), ref_wedge(a + v, v - a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pure_tensor_matches_the_per_term_reference(data):
+    dim = data.draw(st.integers(0, 3))
+    factors = data.draw(st.lists(exterior(dim, max_terms=4), min_size=1, max_size=3))
+    assert_stored(TensorPowerElement.from_elements(factors), ref_from_elements(factors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slice_matches_the_per_term_reference(data):
+    dim = data.draw(st.integers(0, 4))
+    total = data.draw(st.integers(0, dim))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=2)))
+    parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    # words of the sliced length, and others that slice to nothing
+    words = [w for w in all_words(dim) if len(w) == total]
+    a = data.draw(exterior(dim)) + ExteriorElement(dim, data.draw(
+        st.dictionaries(st.sampled_from(words), coefficients, max_size=4)))
+    out = a.slice(parts)
+    assert (out.dim, out.m) == (dim, len(parts))
+    assert_stored(out, ref_slice(a, parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graded_product_matches_the_per_term_reference(data):
+    dim, m = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    s, t = data.draw(tensor(dim, m)), data.draw(tensor(dim, m))
+    assert_stored(graded_product(s, t), ref_graded_product(s, t))
+    assert_stored(graded_product(s, t - t), {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diamond_matches_the_per_term_reference(data):
+    dim, m = data.draw(st.integers(0, 4)), data.draw(st.integers(2, 3))
+    t = data.draw(tensor(dim, m))
+    j, i = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
+    h = 1 if i == j else data.draw(st.integers(0, 3))
+    assert_stored(diamond(h, j, i, t), ref_diamond(h, j, i, t))
+
+
+@given(coefficients.filter(bool))
+def test_diamond_signs_the_folds_crossed(c):
+    # e1 crosses the one-letter fold 2 on its way to fold 3, and back
+    t = TensorPowerElement(3, 3, {((1,), (2,), (3,)): c})
+    assert_stored(diamond(1, 3, 1, t), {((), (2,), (1, 3)): -c})
+    assert_stored(diamond(1, 1, 3, t), {((1, 3), (2,), ()): -c})
+    assert_stored(diamond(1, 2, 1, t), {((), (1, 2), (3,)): c})
+
+
+@given(coefficients.filter(bool))
+def test_diamond_cancels_across_keys(c):
+    # moving e1 onto e2 and e2 onto e1 gives e1^e2 with opposite signs
+    t = TensorPowerElement(2, 2, {((1,), (2,)): c, ((2,), (1,)): c})
+    assert_stored(diamond(1, 2, 1, t), {})
+    assert_stored(diamond(1, 1, 2, t), {})
+    assert ref_diamond(1, 2, 1, t) == {}
