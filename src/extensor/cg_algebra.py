@@ -24,7 +24,7 @@ from .words import merge_words
 class PeanoSpace:
     """An ambient dimension together with a nonzero top-step integral."""
 
-    __slots__ = ("dim", "integral", "_scale", "_top")
+    __slots__ = ("dim", "integral", "_inverse", "_top")
 
     def __init__(self, integral: ExteriorElement):
         n = integral.dim
@@ -33,7 +33,9 @@ class PeanoSpace:
         self.dim = n
         self.integral = integral
         self._top = tuple(range(1, n + 1))
-        self._scale = integral.terms[self._top]
+        # E = (s / d) e_1^...^e_n, so 1 / scale is (sign(s) d) / |s|
+        s, d = integral.num[self._top], integral.den
+        self._inverse = (d if s > 0 else -d, abs(s))
 
     @classmethod
     def standard(cls, dim: int, scale=1) -> "PeanoSpace":
@@ -50,7 +52,8 @@ class PeanoSpace:
         """Bracket of an element; components below top step contribute 0."""
         if x.dim != self.dim:
             raise DimensionMismatch("element lives in another dimension")
-        return x.terms.get(self._top, Fraction(0)) / self._scale
+        p, q = self._inverse
+        return Fraction(x.num.get(self._top, 0) * p, x.den * q)
 
     def meet(self, a: ExteriorElement, b: ExteriorElement,
              side: str = "left") -> ExteriorElement:
@@ -69,16 +72,17 @@ class PeanoSpace:
         if sa + sb < n:
             return ExteriorElement.zero(n)
         if side == "left":
-            images = ((w2, c * br)
-                      for (w1, w2), c in a.slice((n - sb, sa + sb - n)).terms.items()
-                      for br in [self._bracket_word(w1, b, True)] if br)
+            sl, x = a.slice((n - sb, sa + sb - n)), b
+            images = ((w2, c * br) for (w1, w2), c in sl.num.items()
+                      for br in [self._bracket_word(w1, x, True)] if br)
         elif side == "right":
-            images = ((w1, c * br)
-                      for (w1, w2), c in b.slice((sa + sb - n, n - sa)).terms.items()
-                      for br in [self._bracket_word(w2, a, False)] if br)
+            sl, x = b.slice((sa + sb - n, n - sa)), a
+            images = ((w1, c * br) for (w1, w2), c in sl.num.items()
+                      for br in [self._bracket_word(w2, x, False)] if br)
         else:
             raise ValueError(f"unknown meet side {side!r}")
-        return ExteriorElement._trusted(_sum_terms(images), n)
+        return ExteriorElement._trusted(
+            _sum_terms(images), sl.den * x.den * self._inverse[1], n)
 
     def dot_meet(self, a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
         """Meet variant slicing the first argument as (a+b-n, n-b).
@@ -94,23 +98,25 @@ class PeanoSpace:
         sa, sb = a.step(), b.step()
         if sa + sb < n:
             return ExteriorElement.zero(n)
+        sl = a.slice((sa + sb - n, n - sb))
         return ExteriorElement._trusted(_sum_terms(
-            (w1, c * br)
-            for (w1, w2), c in a.slice((sa + sb - n, n - sb)).terms.items()
-            for br in [self._bracket_word(w2, b, True)] if br), n)
+            (w1, c * br) for (w1, w2), c in sl.num.items()
+            for br in [self._bracket_word(w2, b, True)] if br),
+            sl.den * b.den * self._inverse[1], n)
 
-    def _bracket_word(self, word, x: ExteriorElement, word_first: bool):
-        """``[e_word ^ x]``, or ``[x ^ e_word]`` when not ``word_first``.
+    def _bracket_word(self, word, x: ExteriorElement, word_first: bool) -> int:
+        """``[e_word ^ x]``, or ``[x ^ e_word]`` when not ``word_first``,
+        as a numerator over ``x.den * q`` for ``1 / scale == p / q``.
 
         Only the term of x on the complement of the word reaches the top
         step, so no wedge is built; 0 when x has no such term.
         """
         comp = tuple(i for i in self._top if i not in word)
-        c = x.terms.get(comp)
+        c = x.num.get(comp)
         if c is None:
             return 0
         sign = merge_words(word, comp)[0] if word_first else merge_words(comp, word)[0]
-        br = c / self._scale
+        br = c * self._inverse[0]
         return br if sign > 0 else -br
 
     def meet_chain(self, first: ExteriorElement, *rest: ExteriorElement,
@@ -174,16 +180,16 @@ class OrderedBasis:
         if a.dim != n:
             raise DimensionMismatch("element of another dimension")
         stars = self._stars
-        missing = [w for w in a.terms if w not in stars]
+        missing = [w for w in a.num if w not in stars]
         if len(missing) == 1:
             (word,) = missing
-            unit = ExteriorElement._trusted({word: Fraction(1)}, n)
-            stars[word] = self._rewrite_star(unit)
-        parts = [(stars[w], c) for w, c in a.terms.items() if w in stars]
+            stars[word] = self._rewrite_star(ExteriorElement._trusted({word: 1}, 1, n))
+        # a's numerators now, its denominator at the end
+        parts = [(stars[w], c) for w, c in a.num.items() if w in stars]
         if len(missing) > 1:
             parts.append((self._rewrite_star(
-                ExteriorElement._trusted({w: a.terms[w] for w in missing}, n)), 1))
-        return ExteriorElement._sum(parts, n)
+                ExteriorElement._trusted({w: a.num[w] for w in missing}, 1, n)), 1))
+        return ExteriorElement._sum(parts, n, den=a.den)
 
     def _rewrite_star(self, a: ExteriorElement) -> ExteriorElement:
         """The star by rewriting a in this basis and back."""
@@ -191,9 +197,10 @@ class OrderedBasis:
         in_basis = substitute(a, self._to_basis)
         full = range(1, n + 1)
         starred = {comp: merge_words(word, comp)[0] * c
-                   for word, c in in_basis.terms.items()
+                   for word, c in in_basis.num.items()
                    for comp in [tuple(i for i in full if i not in word)]}
-        return substitute(ExteriorElement._trusted(starred, n), self._from_basis)
+        return substitute(ExteriorElement._trusted(starred, in_basis.den, n),
+                          self._from_basis)
 
     def star_tensor(self, t) -> "TensorPowerElement":
         """The star applied to every fold of a tensor power element."""

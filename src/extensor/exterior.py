@@ -1,23 +1,26 @@
 """Exterior algebra over the rationals with exact arithmetic.
 
 Elements are sparse maps from index words (strictly increasing tuples
-of 1-based basis indices) to Fraction coefficients; the empty word is
-the unit.  Extensors are wedges of vectors built with
-:func:`make_extensor`; a vector is a tuple of ``dim`` rationals.  All
-values are immutable after construction and all operations are pure.
+of 1-based basis indices) to rational coefficients; the empty word is
+the unit.  An element stores them as integer numerators over one
+denominator (:class:`~extensor.tensorops.RationalTerms`), and its
+``terms`` reads them back as ``Fraction``.  Extensors are wedges of
+vectors built with :func:`make_extensor`; a vector is a tuple of ``dim``
+rationals.  All values are immutable after construction and all
+operations are pure.
 
-The wedge multiplies integer numerators over each operand's common
-denominator and makes one ``Fraction`` per output word; word merges and
-slices are table lookups in :mod:`extensor.words`.
+The wedge, the slice and :func:`substitute` run on the numerators alone;
+word merges and slices are table lookups in :mod:`extensor.words`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .tensorops import SparseTerms, _fractions, _numerators, _sum_terms
+from .tensorops import RationalTerms, _sum_terms
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -29,7 +32,7 @@ class DimensionMismatch(ValueError):
 
 
 def as_vector(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def unit_vector(dim: int, i: int) -> Vector:
@@ -52,18 +55,17 @@ def word_str(word: Word) -> str:
     return "^".join(f"e{i}" for i in word)
 
 
-class ExteriorElement(SparseTerms):
+class ExteriorElement(RationalTerms):
     """A sparse element of the exterior algebra of a fixed dimension."""
 
     __slots__ = ("dim",)
     _shape = {"dim": DimensionMismatch}
-    ring = Fraction
 
     def __init__(self, dim: int, terms=None):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
-        self.terms = self._clean(terms)
+        self._store(terms)
 
     def _valid_key(self, word) -> Word:
         return _index_word(word, self.dim)
@@ -79,23 +81,14 @@ class ExteriorElement(SparseTerms):
     @classmethod
     def from_vector(cls, coords: Iterable) -> "ExteriorElement":
         v = as_vector(coords)
-        return cls._trusted({(i,): c for i, c in enumerate(v, start=1)}, len(v))
+        return cls._from_fractions({(i,): c for i, c in enumerate(v, start=1)}, len(v))
 
     # -- ring structure ----------------------------------------------
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The join: bilinear, associative, graded-anticommutative."""
         self._check(other)
-        nu, du = _numerators(self.terms)
-        nv, dv = _numerators(other.terms)
-        out: dict = {}
-        for u, a in nu.items():
-            for v, b in nv.items():
-                sign, w = merge_words(u, v)
-                if sign:
-                    p = a * b if sign > 0 else -a * b
-                    out[w] = out.get(w, 0) + p
-        return self._like(_fractions(out, du * dv))
+        return self._like(_wedge_terms(self.num, other.num), self.den * other.den)
 
     __xor__ = wedge
 
@@ -103,7 +96,7 @@ class ExteriorElement(SparseTerms):
 
     def step(self):
         """Common grade of the terms; None for zero, error when mixed."""
-        steps = {len(w) for w in self.terms}
+        steps = {len(w) for w in self.num}
         if not steps:
             return None
         if len(steps) > 1:
@@ -111,10 +104,10 @@ class ExteriorElement(SparseTerms):
         return steps.pop()
 
     def homogeneous_component(self, k: int) -> "ExteriorElement":
-        return self._like({w: c for w, c in self.terms.items() if len(w) == k})
+        return self._like({w: n for w, n in self.num.items() if len(w) == k}, self.den)
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     # -- coproduct ---------------------------------------------------
 
@@ -131,10 +124,26 @@ class ExteriorElement(SparseTerms):
         if any(p < 0 for p in parts):
             raise ValueError("negative part size")
         total = sum(parts)
-        out = _sum_terms((blocks, c if sign > 0 else -c)
-                         for word, c in self.terms.items() if len(word) == total
+        out = _sum_terms((blocks, n if sign > 0 else -n)
+                         for word, n in self.num.items() if len(word) == total
                          for sign, blocks in word_slices(word, parts))
-        return TensorPowerElement._trusted(out, self.dim, len(parts))
+        return TensorPowerElement._trusted(out, self.den, self.dim, len(parts))
+
+
+def _wedge_terms(a: dict, b: dict) -> dict:
+    """The wedge of two maps from words to numerators; keys that cancel
+    stay at zero."""
+    out: dict = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            sign, w = merge_words(u, v)
+            if sign:
+                p = x * y if sign > 0 else -x * y
+                if w in out:
+                    out[w] += p
+                else:
+                    out[w] = p
+    return out
 
 
 def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
@@ -158,20 +167,35 @@ def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
 
 
 def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> ExteriorElement:
-    """Apply the algebra morphism sending basis vector i to images[i-1]."""
+    """Apply the algebra morphism sending basis vector i to images[i-1].
+
+    The images are written over one common denominator ``d``, so the
+    image of a word of length k has numerators over ``d**k``; the image
+    of each word prefix is wedged once per call.
+    """
     if len(images) != a.dim:
         raise DimensionMismatch("need one image per basis vector")
     tdim = images[0].dim if images else a.dim
+    for x in images:
+        if x.dim != tdim:
+            raise DimensionMismatch(f"dim {tdim} and {x.dim} differ")
+    d = lcm(*(x.den for x in images))
+    nums = [{w: n * (d // x.den) for w, n in x.num.items()} for x in images]
+    prefixes: dict = {(): {(): 1}}
 
     def image(word):
-        acc = ExteriorElement.unit(tdim)
-        for i in word:
-            acc = acc.wedge(images[i - 1])
-            if not acc:
-                break
-        return acc
+        out = prefixes.get(word)
+        if out is None:
+            out = {w: n for w, n in _wedge_terms(image(word[:-1]),
+                                                   nums[word[-1] - 1]).items() if n}
+            prefixes[word] = out
+        return out
 
-    return ExteriorElement._sum(((image(w), c) for w, c in a.terms.items()), tdim)
+    top = max(map(len, a.num), default=0)
+    out = _sum_terms((w, f * n) for word, c in a.num.items()
+                     for f in [c * d ** (top - len(word))]
+                     for w, n in image(word).items())
+    return ExteriorElement._trusted(out, a.den * d ** top, tdim)
 
 
 def extensor_span(a: ExteriorElement) -> list[Vector]:
@@ -183,7 +207,10 @@ def extensor_span(a: ExteriorElement) -> list[Vector]:
     if not a:
         raise ValueError("zero element has no span")
     n = a.dim
-    images = [ExteriorElement.monomial(n, (i,)).wedge(a) for i in range(1, n + 1)]
-    out_words = sorted({w for img in images for w in img.terms})
-    rows = [[img.terms.get(w, Fraction(0)) for img in images] for w in out_words]
+    images = [ExteriorElement._trusted({(i,): 1}, 1, n).wedge(a)
+              for i in range(1, n + 1)]
+    out_words = sorted({w for img in images for w in img.num})
+    # the images' numerators over a.den: the coefficients times a.den
+    rows = [[img.num.get(w, 0) * (a.den // img.den) for img in images]
+            for w in out_words]
     return [tuple(v) for v in linalg.nullspace(rows, n)]

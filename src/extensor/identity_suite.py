@@ -76,7 +76,7 @@ def rand_basis(rng, n) -> OrderedBasis:
 
 
 def scalar_of(x: ExteriorElement) -> Fraction:
-    if any(w for w in x.terms):
+    if any(w for w in x.num):
         raise ValueError("element has positive-step terms")
     return x.scalar_part()
 
@@ -206,7 +206,7 @@ def verify_capelli(r: int, t: TensorPowerElement) -> Report:
         rhs = per + q1 + q2 + q3
     else:
         raise ValueError("expansion is tabulated for r = 1 and r = 2 only")
-    unit_fold0 = all(not key[0] for key in t.terms)
+    unit_fold0 = all(not key[0] for key in t.num)
     inst = f"r={r} n={t.dim}" + (" unit-fold0" if unit_fold0 else "")
     rep = _report("capelli-permanental", inst, lhs, rhs)
     if unit_fold0 and r == 2:

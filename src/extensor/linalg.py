@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Dense Gaussian elimination with first-nonzero pivoting, so every result
-is deterministic and reproducible.  Matrices are lists of rows of
-Fractions; everything stays exact.  :class:`SparseEchelon` does the same
-for sparse vectors keyed by ordered basis keys.  :func:`rational` reads
-the numbers of an input document exactly.
+Dense Gauss-Jordan elimination with first-nonzero pivoting, so every
+result is deterministic and reproducible.  Matrices are lists of rows
+of rationals (ints, Fractions, or anything ``Fraction`` reads), and
+results are rows of Fractions.  :func:`rref`, which every dense routine
+goes through, eliminates fraction-free on integer rows and divides by
+the pivots only at the end.  :class:`SparseEchelon` eliminates sparse
+vectors keyed by ordered basis keys.  :func:`rational` reads the
+numbers of an input document exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 # |e| for a decimal "...e<e>": 10**e is built in full before reducing
 MAX_DECIMAL_EXPONENT = 1000
@@ -24,9 +28,11 @@ def rational(value) -> Fraction:
 
     A float is read as its shortest decimal, so a JSON ``0.1`` is 1/10.
     A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` raises ValueError
-    before any power of ten is built; a value of no rational type raises
-    TypeError.
+    before any power of ten is built; a value of no rational type, a
+    ``bool`` (a JSON ``true``) among them, raises TypeError.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
     if isinstance(value, float):
         value = repr(value)
     if isinstance(value, str):
@@ -39,17 +45,32 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _primitive(row: list) -> list:
+    """``row`` of ints divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row) -> list:
+    """A primitive integer row with the same span as the rational ``row``."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (d // x.denominator) for x in row])
 
 
 def rref(rows):
     """Reduced row echelon form.
 
     Returns ``(reduced, pivots)`` where ``reduced`` holds only the
-    nonzero rows and ``pivots`` the pivot column of each.
+    nonzero rows, as lists of Fractions, and ``pivots`` the pivot column
+    of each.  Each row is scaled to a primitive integer row; a pivot
+    clears its column from another row by cross-multiplication, and the
+    result is made primitive again.  Scaling a row changes neither the
+    pivots nor the reduced form, which is unique, so dividing each pivot
+    row by its pivot at the end gives what ``Fraction`` elimination
+    gives.
     """
-    mat = _copy(rows)
+    mat = [_integer_row(row) for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -60,17 +81,18 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -96,8 +118,7 @@ def nullspace(rows, ncols):
 def invert(mat):
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(mat)
-    aug = [list(map(Fraction, row)) + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(mat)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

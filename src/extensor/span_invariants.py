@@ -22,17 +22,17 @@ from .words import inversions
 
 
 def _word_basis(elements: Sequence[ExteriorElement]) -> list[Word]:
-    return sorted({w for e in elements for w in e.terms}, key=lambda w: (len(w), w))
+    return sorted({w for e in elements for w in e.num}, key=lambda w: (len(w), w))
 
 
 def _coeff_rows(elements: Sequence[ExteriorElement], words: Sequence[Word]):
-    return [[e.terms.get(w, Fraction(0)) for w in words] for e in elements]
+    return [[t.get(w, Fraction(0)) for w in words] for t in (e.terms for e in elements)]
 
 
 def in_span(x: ExteriorElement, elements: Sequence[ExteriorElement]) -> bool:
     words = _word_basis(list(elements) + [x])
     rows = _coeff_rows(elements, words)
-    target = [x.terms.get(w, Fraction(0)) for w in words]
+    (target,) = _coeff_rows([x], words)
     return linalg.solve_combination(rows, target) is not None
 
 
@@ -119,8 +119,8 @@ def dagger_representation(a_vectors: Sequence, b_vectors: Sequence,
             prime.append(v)
             rows.append(list(v))
     w = make_extensor(list(inter) + prime, dim)
-    lead = min(a.terms, key=lambda x: (len(x), x))
-    lam = a.terms[lead] / w.terms[lead]
+    lead = min(a.num, key=lambda x: (len(x), x))
+    lam = Fraction(a.num[lead] * w.den, a.den * w.num[lead])
     c = lam * make_extensor(inter, dim)
     p = len(prime)
     pairs = []
@@ -150,9 +150,9 @@ class GeneralizedHodge:
             raise ValueError("left family is dependent")
 
     def __call__(self, x: ExteriorElement) -> ExteriorElement:
-        if any(w not in self._words for w in x.terms):
+        if any(w not in self._words for w in x.num):
             raise ValueError("element outside the left span")
-        target = [x.terms.get(w, Fraction(0)) for w in self._words]
+        (target,) = _coeff_rows([x], self._words)
         coeffs = linalg.solve_combination(self._rows, target)
         if coeffs is None:
             raise ValueError("element outside the left span")
@@ -182,8 +182,9 @@ def pairing_beta(t: TensorPowerElement, x: ExteriorElement, y: ExteriorElement,
     if cstep is None:
         raise ValueError("zero factor")
     comp = {k: v for k, v in t.terms.items() if len(k[0]) == cstep}
-    lead = min(c.terms, key=lambda w: (len(w), w))
-    d = ExteriorElement(t.dim, {rw: v / c.terms[lead]
+    lead = min(c.num, key=lambda w: (len(w), w))
+    c_lead = Fraction(c.num[lead], c.den)
+    d = ExteriorElement(t.dim, {rw: v / c_lead
                                 for (lw, rw), v in comp.items() if lw == lead})
     cd = TensorPowerElement.from_elements([c, d])
     if cd.terms != comp:
@@ -195,10 +196,10 @@ def pairing_beta(t: TensorPowerElement, x: ExteriorElement, y: ExteriorElement,
     u = diamond(k, 2, 1, TensorPowerElement.from_elements([x, y]))
     if not u:
         return Fraction(0)
-    key = next(iter(u.terms))
-    if key not in cd.terms:
+    key = next(iter(u.num))
+    if key not in cd.num:
         raise ValueError("geometric product is not proportional to C (x) D")
-    ratio = u.terms[key] / cd.terms[key]
+    ratio = Fraction(u.num[key] * cd.den, u.den * cd.num[key])
     if u != cd.scale(ratio):
         raise ValueError("geometric product is not proportional to C (x) D")
     return ratio

@@ -1,11 +1,13 @@
 """Tensor powers of the exterior algebra with geometric products.
 
-Elements are sparse maps from m-tuples of index words to Fraction
-coefficients, multiplied fold-wise with the Z2-graded Koszul sign.  The
-raising and lowering operators :func:`diamond` turn coproduct slices of
-one fold into wedge factors of another; they are the working form of
-the regressive products, and :func:`meet_join_factor` extracts the
-subspace intersection and sum they compute.
+Elements are sparse maps from m-tuples of index words to rational
+coefficients, stored as integer numerators over one denominator as in
+:mod:`extensor.exterior`, and multiplied fold-wise with the Z2-graded
+Koszul sign.  The raising and lowering operators :func:`diamond` turn
+coproduct slices of one fold into wedge factors of another; they are
+the working form of the regressive products, and
+:func:`meet_join_factor` extracts the subspace intersection and sum
+they compute.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ from typing import Sequence
 from . import linalg, tensorops
 from .exterior import (DimensionMismatch, ExteriorElement, Word,
                        extensor_span, _index_word, word_str)
-from .tensorops import SparseTerms, fold_sort_key
+from .tensorops import RationalTerms, fold_sort_key
 
 
 class FoldMismatch(ValueError):
     """Operands have different fold counts."""
 
 
-class TensorPowerElement(SparseTerms):
+class TensorPowerElement(RationalTerms):
     """A sparse element of the m-fold tensor power."""
 
     __slots__ = ("dim", "m")
     _shape = {"dim": DimensionMismatch, "m": FoldMismatch}
-    ring = Fraction
     _sort_key = staticmethod(fold_sort_key)
 
     def __init__(self, dim: int, m: int, terms=None):
@@ -36,7 +37,7 @@ class TensorPowerElement(SparseTerms):
             raise ValueError("fold count must be positive")
         self.dim = dim
         self.m = m
-        self.terms = self._clean(terms)
+        self._store(terms)
 
     def _valid_key(self, key) -> tuple[Word, ...]:
         k = tuple(key)
@@ -65,11 +66,10 @@ class TensorPowerElement(SparseTerms):
         for f in factors:
             if f.dim != dim:
                 raise DimensionMismatch("mixed dimensions in tensor factors")
-            nf, df = tensorops._numerators(f.terms)
             terms = {key + (w,): c * n
-                     for key, c in terms.items() for w, n in nf.items()}
-            d *= df
-        return cls._trusted(tensorops._fractions(terms, d), dim, len(factors))
+                     for key, c in terms.items() for w, n in f.num.items()}
+            d *= f.den
+        return cls._trusted(terms, d, dim, len(factors))
 
     def __mul__(self, other):
         if isinstance(other, TensorPowerElement):
@@ -82,14 +82,14 @@ class TensorPowerElement(SparseTerms):
         """Apply a linear map to every fold and expand the products."""
         return TensorPowerElement._sum(
             ((TensorPowerElement.from_elements(
-                [fn(ExteriorElement.monomial(self.dim, w)) for w in key]), c)
-             for key, c in self.terms.items()), self.dim, self.m)
+                [fn(ExteriorElement._trusted({w: 1}, 1, self.dim)) for w in key]), n)
+             for key, n in self.num.items()), self.dim, self.m, den=self.den)
 
 
 def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:
     """Fold-wise wedge with the Koszul sign of crossing folds."""
     s._check(t)
-    return s._like(tensorops.graded_product_terms(s.terms, t.terms))
+    return s._like(tensorops.graded_product_terms(s.num, t.num), s.den * t.den)
 
 
 def diamond(h: int, j: int, i: int, t: TensorPowerElement) -> TensorPowerElement:
@@ -101,7 +101,7 @@ def diamond(h: int, j: int, i: int, t: TensorPowerElement) -> TensorPowerElement
     onto the right of fold j.  h = 0 is the identity; i = j is the
     diagonal operator (h = 1 only) scaling by the step of fold i.
     """
-    return t._like(tensorops.diamond_terms(t.terms, h, j, i, t.m))
+    return t._like(tensorops.diamond_terms(t.num, h, j, i, t.m), t.den)
 
 
 def contains(a: ExteriorElement, b: ExteriorElement) -> bool:
@@ -115,13 +115,14 @@ def contains(a: ExteriorElement, b: ExteriorElement) -> bool:
 def _rank_factor_pairs(t: TensorPowerElement):
     """Pairs ``(left_i, right_i)`` with ``sum(left_i (x) right_i) == t``,
     one per rank of the coefficient matrix of the two-fold tensor."""
-    lwords = sorted({k[0] for k in t.terms}, key=lambda w: (len(w), w))
-    rwords = sorted({k[1] for k in t.terms}, key=lambda w: (len(w), w))
-    mat = [[t.terms.get((lw, rw), Fraction(0)) for rw in rwords] for lw in lwords]
+    lwords = sorted({k[0] for k in t.num}, key=lambda w: (len(w), w))
+    rwords = sorted({k[1] for k in t.num}, key=lambda w: (len(w), w))
+    # the numerators: the left factors carry the denominator
+    mat = [[t.num.get((lw, rw), 0) for rw in rwords] for lw in lwords]
     cols, rows = linalg.rank_factorization(mat)
-    return [(ExteriorElement._trusted(
-                 {lw: cols[j][i] for j, lw in enumerate(lwords)}, t.dim),
-             ExteriorElement._trusted(
+    return [(ExteriorElement._from_fractions(
+                 {lw: cols[j][i] / t.den for j, lw in enumerate(lwords)}, t.dim),
+             ExteriorElement._from_fractions(
                  {rw: rows[i][j] for j, rw in enumerate(rwords)}, t.dim))
             for i in range(len(rows))]
 
@@ -131,8 +132,8 @@ def _rank_one_factors(t: TensorPowerElement):
     if len(pairs) != 1:
         raise ValueError(f"tensor has rank {len(pairs)}, expected 1")
     left, right = pairs[0]
-    lead = min(left.terms, key=lambda w: (len(w), w))
-    s = left.terms[lead]
+    lead = min(left.num, key=lambda w: (len(w), w))
+    s = Fraction(left.num[lead], left.den)
     return (1 / s) * left, s * right
 
 

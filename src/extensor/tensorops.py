@@ -2,35 +2,36 @@
 
 :class:`SparseTerms` is the common base of the exterior, tensor power,
 letterplace, free tensor and bitableau elements: a map from basis keys
-to exact coefficients with the module operations on it.  The fold-wise
-kernels below serve both tensor powers.  Their terms are maps from
-m-tuples of words to coefficients.  The product is the Z2-graded one;
-the raising and lowering geometric products move a degree-h slice of
-the source fold into the destination fold with the Koszul sign of the
-folds crossed on the way.
+to exact coefficients with the module operations on it.  The integer
+side (:class:`IntegerTerms`) keeps that map as ``terms``.  The rational
+side (:class:`RationalTerms`) keeps integer numerators ``num`` over one
+positive denominator ``den``, reduced so that the pair is unique; its
+``terms`` is a ``{key: Fraction}`` view made on each read.  Every sum,
+product, slice and geometric product then runs on ints, and a
+``Fraction`` is made only for that view and for the scalars the API
+returns.
+
+The fold-wise kernels below serve both tensor powers.  Their terms are
+maps from m-tuples of words to coefficients (integers or numerators:
+the kernels never divide).  The product is the Z2-graded one; the
+raising and lowering geometric products move a degree-h slice of the
+source fold into the destination fold with the Koszul sign of the folds
+crossed on the way.  Each kernel term folds its +-1 factors (Koszul,
+slice and merge signs) into one int sign and applies it once, so a term
+costs at most one coefficient product.
 
 Summation lives here too.  Every linear and bilinear map in the package
 is defined on basis keys and extended linearly; it hands its
 (key, coefficient) images to :func:`_sum_terms`, or its
-(element, coefficient) parts to :meth:`SparseTerms._sum`, and the
+(element, coefficient) parts to the ``_sum`` of its class, and the
 trusted constructor drops the keys that cancelled.  The two kernels
-return such sums as plain dicts, for their callers' ``_like``.  Each
-kernel term folds its +-1 factors (Koszul, slice and merge signs) into
-one int sign and applies it once, so a term costs at most one
-coefficient product.
-
-Over the rationals a product of two sums can run on integers instead:
-:func:`_numerators` writes each operand over one common denominator,
-the loop multiplies and adds integer numerators, and
-:func:`_fractions` turns each output key into one ``Fraction`` at the
-end.  The exterior wedge and the pure tensor
-(``TensorPowerElement.from_elements``) work this way.
+return such sums as plain dicts, for their callers' ``_like``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .words import merge_words, word_slices
 
@@ -39,48 +40,26 @@ class SparseTerms:
     """A finite combination of basis keys with exact coefficients.
 
     ``terms`` maps keys to nonzero coefficients of the class's ``ring``
-    (``Fraction`` or ``int``).  A subclass maps its shape slots (``dim``
-    and/or ``m``) in ``_shape`` to the error raised when operands differ
-    there, validates keys in ``_valid_key``, prints them with
-    ``_key_str`` (ordered by ``_sort_key``), and defines its own product.
+    (``Fraction`` or ``int``); :class:`IntegerTerms` and
+    :class:`RationalTerms` store them and define the module operations.
+    A subclass maps its shape slots (``dim`` and/or ``m``) in ``_shape``
+    to the error raised when operands differ there, validates keys in
+    ``_valid_key``, prints them with ``_key_str`` (ordered by
+    ``_sort_key``), and defines its own product.
 
     The public constructor of each subclass validates every key and
-    coerces every coefficient.  Kernel output goes through
-    :meth:`_trusted` instead, which is never re-validated: it only drops
-    zero coefficients, so no element ever stores one.
+    coerces every coefficient.  Kernel output goes through ``_trusted``
+    instead, which is never re-validated: it only drops zero
+    coefficients, so no element ever stores one.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     _shape: dict[str, type[Exception]] = {}
     ring: type = int
 
-    @classmethod
-    def _trusted(cls, terms: dict, *shape):
-        out = object.__new__(cls)
-        for name, value in zip(cls._shape, shape):
-            setattr(out, name, value)
-        out.terms = {k: c for k, c in terms.items() if c}
-        return out
-
-    @classmethod
-    def _sum(cls, parts, *shape):
-        """Trusted ``sum(c * x)`` over the ``(x, c)`` parts, each of this
-        class; a part of another shape raises as ``+`` does."""
-        out = cls._trusted({}, *shape)
-
-        def pairs():
-            for x, c in parts:
-                out._check(x)
-                if c == 1:      # spares a Fraction product per term
-                    yield from x.terms.items()
-                else:
-                    yield from ((k, c * v) for k, v in x.terms.items())
-
-        return out._like(_sum_terms(pairs()))
-
-    def _like(self, terms: dict):
+    def _like(self, *stored):
         """Trusted element of the same class and shape as ``self``."""
-        return self._trusted(terms, *self._shape_values())
+        return self._trusted(*stored, *self._shape_values())
 
     def _shape_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._shape)
@@ -120,6 +99,58 @@ class SparseTerms:
             if mine != theirs:
                 raise error(f"{name} {mine} and {theirs} differ")
 
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __str__(self) -> str:
+        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return format_terms(items, self._key_str)
+
+    def __repr__(self) -> str:
+        shape = "".join(f"{v!r}, " for v in self._shape_values())
+        return f"{type(self).__name__}({shape}{self.terms!r})"
+
+
+class IntegerTerms(SparseTerms):
+    """Integer combination over ``m`` places: the letterplace side.
+
+    ``terms`` is the stored map from keys to nonzero ints.
+    """
+
+    __slots__ = ("terms", "m")
+    _shape = {"m": ValueError}
+    ring = int
+
+    def __init__(self, m: int, terms=None):
+        if m < 1:
+            raise ValueError("need at least one place")
+        self.m = m
+        self.terms = self._clean(terms)
+
+    @classmethod
+    def _trusted(cls, terms: dict, *shape):
+        out = object.__new__(cls)
+        for name, value in zip(cls._shape, shape):
+            setattr(out, name, value)
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    @classmethod
+    def _sum(cls, parts, *shape):
+        """Trusted ``sum(c * x)`` over the ``(x, c)`` parts, each of this
+        class; a part of another shape raises as ``+`` does."""
+        out = cls._trusted({}, *shape)
+
+        def pairs():
+            for x, c in parts:
+                out._check(x)
+                if c == 1:
+                    yield from x.terms.items()
+                else:
+                    yield from ((k, c * v) for k, v in x.terms.items())
+
+        return out._like(_sum_terms(pairs()))
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -129,14 +160,11 @@ class SparseTerms:
             out[k] = out.get(k, 0) + c
         return self._like(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
-        """Every coefficient times ``scalar``, coerced into the ring."""
+        """Every coefficient times ``scalar``, which must be an integer."""
         s = self._coerce(scalar)
         return self._like({k: s * c for k, c in self.terms.items()})
 
@@ -150,27 +178,104 @@ class SparseTerms:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __str__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-        return format_terms(items, self._key_str)
 
-    def __repr__(self) -> str:
-        shape = "".join(f"{v!r}, " for v in self._shape_values())
-        return f"{type(self).__name__}({shape}{self.terms!r})"
+class RationalTerms(SparseTerms):
+    """Rational combination stored as integer numerators over one
+    denominator: the exterior and tensor power side.
+
+    ``num`` maps keys to nonzero int numerators and ``den`` is a positive
+    int, the coefficient of a key being ``num[key] / den``.  The pair is
+    reduced, ``gcd(den, *num.values()) == 1``, which makes ``den`` the
+    least common denominator of the coefficients and the pair unique, so
+    ``==`` compares it directly.  ``terms`` is a ``{key: Fraction}`` view
+    for outside readers, made afresh on each read.
+    """
+
+    __slots__ = ("num", "den")
+    ring = Fraction
+
+    def _store(self, terms):
+        """Store public-constructor terms (see ``_clean``)."""
+        self.num, self.den = _over_common_denominator(self._clean(terms))
+
+    @classmethod
+    def _from_fractions(cls, terms: dict, *shape):
+        """Trusted element with the rational coefficients ``terms``."""
+        return cls._trusted(*_over_common_denominator(terms), *shape)
+
+    @classmethod
+    def _trusted(cls, num: dict, den: int, *shape):
+        """Trusted element ``num / den`` for int numerators and a positive
+        ``den``, reduced by the gcd of the pair."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._shape, shape):
+            setattr(out, name, value)
+        num = {k: n for k, n in num.items() if n}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+            den //= g
+        out.num, out.den = num, den
+        return out
+
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.num.items()}
+
+    @classmethod
+    def _sum(cls, parts, *shape, den: int = 1):
+        """Trusted ``sum(c * x) / den`` over the ``(x, c)`` parts, each of
+        this class with an int or Fraction ``c``; a part of another shape
+        raises as ``+`` does.  The parts are written over the least
+        common multiple of their denominators and summed on ints."""
+        out = cls._trusted({}, 1, *shape)
+        parts = list(parts)
+        for x, _ in parts:
+            out._check(x)
+        common = lcm(*(x.den * c.denominator for x, c in parts))
+        return out._like(_sum_terms(
+            (k, f * n) for x, c in parts
+            for f in [c.numerator * (common // (x.den * c.denominator))]
+            for k, n in x.num.items()), common * den)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {k: n * fa for k, n in self.num.items()}
+        for k, n in other.num.items():
+            out[k] = out.get(k, 0) + n * fb
+        return self._like(out, den)
+
+    def __neg__(self):
+        return self._like({k: -n for k, n in self.num.items()}, self.den)
+
+    def scale(self, scalar):
+        """Every coefficient times the rational ``scalar``."""
+        s = self._coerce(scalar)
+        p = s.numerator
+        return self._like({k: p * n for k, n in self.num.items()},
+                          s.denominator * self.den)
+
+    __mul__ = __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and self._shape_values() == other._shape_values()
+                and self.den == other.den and self.num == other.num)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
 
-class IntegerTerms(SparseTerms):
-    """Integer combination over ``m`` places: the letterplace side."""
-
-    __slots__ = ("m",)
-    _shape = {"m": ValueError}
-    ring = int
-
-    def __init__(self, m: int, terms=None):
-        if m < 1:
-            raise ValueError("need at least one place")
-        self.m = m
-        self.terms = self._clean(terms)
+def _over_common_denominator(terms: dict):
+    """``(num, den)`` for rational ``terms``: ``den`` the least common
+    denominator, ``num[k] == terms[k] * den``."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def _sum_terms(pairs) -> dict:
@@ -178,24 +283,11 @@ def _sum_terms(pairs) -> dict:
     at zero for the trusted constructor to drop."""
     out: dict = {}
     for key, c in pairs:
-        # a new key takes c itself: 0 + c would cost a Fraction sum
         if key in out:
             out[key] += c
         else:
             out[key] = c
     return out
-
-
-def _numerators(terms: dict):
-    """``(numerators, d)`` with ``terms[k] == numerators[k] / d`` for
-    every key, ``d`` the least common denominator of the coefficients."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (d // c.denominator) for k, c in terms.items()}, d
-
-
-def _fractions(numerators: dict, d: int) -> dict:
-    """The nonzero ``numerators[k] / d`` as ``Fraction`` coefficients."""
-    return {k: Fraction(n, d) for k, n in numerators.items() if n}
 
 
 def fold_sort_key(key):

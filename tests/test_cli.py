@@ -307,6 +307,17 @@ class TestCommands:
             assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) \
                 == (case["sha256"], case["lines"])
 
+    @pytest.mark.parametrize(
+        "case", json.loads(Path(__file__).with_name("verify_golden.json").read_text()),
+        ids=lambda case: " ".join(case["argv"]))
+    def test_verify_output_is_pinned(self, capsys, case):
+        # the Grassmann-Cayley reports (about 300 KB each) are pinned by
+        # their SHA-256 and line count
+        assert main(case["argv"]) == case["exit"]
+        out = capsys.readouterr().out
+        assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) \
+            == (case["sha256"], case["lines"])
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["matroid", "nosuch.json", "exchange"]) == 2
 
@@ -439,6 +450,26 @@ class TestCommands:
         path.write_text(f'{{"kind": "linear", "columns": [[{entry}, 1], [0, 1]]}}')
         assert main(["matroid", str(path), "exchange"]) == 2
         assert "MAX_DECIMAL_EXPONENT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_coordinates_are_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "env.json"
+        path.write_text(f'{{"dim": 2, "vectors": {{"p": [{value}, 0]}}}}')
+        assert main(["eval", "-e", "p", "--env", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad environment entry: {value.title()} "
+                                "is a boolean, not a number\n")
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_boolean_matroid_columns_are_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "matroid.json"
+        path.write_text(f'{{"kind": "linear", "columns": [[1, {value}], [0, 1]]}}')
+        assert main(["matroid", str(path), "exchange"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad column entry: {value.title()} "
+                                "is a boolean, not a number\n")
 
     def test_environment_file_with_every_field(self, tmp_path, capsys):
         path = tmp_path / "env.json"

@@ -1,0 +1,197 @@
+"""Dense linear algebra against a ``Fraction`` Gauss-Jordan reference.
+
+The reference below is the elimination written entry by entry over
+``Fraction``: scale the pivot row to 1, clear the pivot column above and
+below.  Every public routine of :mod:`extensor.linalg` must give exactly
+its results, entry types included, on random rational matrices with
+dependent rows, zero rows and zero columns, and on the empty and 1 x 1
+shapes.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from extensor import linalg
+
+
+def ref_rref(rows):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots, r = [], 0
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def ref_nullspace(rows, ncols):
+    red, pivots = ref_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def ref_invert(mat):
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(mat)]
+    red, pivots = ref_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
+def ref_solve_combination(rows, target):
+    target = [Fraction(t) for t in target]
+    if not rows:
+        return [] if not any(target) else None
+    k, n = len(rows), len(rows[0])
+    red, pivots = ref_rref([[Fraction(rows[j][i]) for j in range(k)] + [target[i]]
+                            for i in range(n)])
+    if k in pivots:
+        return None
+    coeffs = [Fraction(0)] * k
+    for row, p in zip(red, pivots):
+        coeffs[p] = row[k]
+    return coeffs
+
+
+def ref_intersect_spans(rows_a, rows_b, ncols):
+    if not rows_a or not rows_b:
+        return []
+    stack = [[Fraction(x) for x in r] for r in rows_a + rows_b]
+    transposed = [[stack[i][j] for i in range(len(stack))] for j in range(ncols)]
+    inter = []
+    for coeffs in ref_nullspace(transposed, len(stack)):
+        vec = [sum(coeffs[i] * stack[i][j] for i in range(len(rows_a)))
+               for j in range(ncols)]
+        if any(vec):
+            inter.append(vec)
+    return ref_rref(inter)[0]
+
+
+def typed(x):
+    """``x`` with the type of every entry, so that equal values of other
+    types compare unequal."""
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return (type(x).__name__, x)
+
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7, 1_000_000_007))))
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """Rows that are random, zero, or combinations of earlier rows, with
+    some columns zeroed out."""
+    nrows = draw(st.integers(0, 6)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 6)) if ncols is None else ncols
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combination")))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "random":
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    zeroed = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    return [[0 if j in zeroed else x for j, x in enumerate(row)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_rank_and_nullspace_match_the_reference(rows):
+    ncols = len(rows[0]) if rows else 3
+    assert typed(linalg.rref(rows)) == typed(ref_rref(rows))
+    assert linalg.rank(rows) == len(ref_rref(rows)[0])
+    assert typed(linalg.nullspace(rows, ncols)) == typed(ref_nullspace(rows, ncols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(nrows=n, ncols=max(n, 1))))
+def test_invert_matches_the_reference(mat):
+    want = ref_invert(mat)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert(mat)
+    else:
+        assert typed(linalg.invert(mat)) == typed(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_combination_matches_the_reference(data):
+    rows = data.draw(matrices())
+    n = len(rows[0]) if rows else data.draw(st.integers(1, 4))
+    inside = [sum((data.draw(entries) * x for x in col), Fraction(0))
+              for col in zip(*rows)] if rows else [0] * n
+    outside = data.draw(st.lists(entries, min_size=n, max_size=n))
+    for target in (inside, outside, [0] * n):
+        got = linalg.solve_combination(rows, target)
+        assert typed(got) == typed(ref_solve_combination(rows, target))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_factorization_matches_the_reference(mat):
+    cols, red = linalg.rank_factorization(mat)
+    want, pivots = ref_rref(mat)
+    assert typed(red) == typed(want)
+    assert typed(cols) == typed([[Fraction(row[p]) for p in pivots] for row in mat])
+    assert [[sum(c * r[j] for c, r in zip(row, red)) for j in range(len(row_m))]
+            for row, row_m in zip(cols, mat)] == mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(matrices(ncols=n), matrices(ncols=n))))
+def test_intersect_spans_matches_the_reference(pair):
+    rows_a, rows_b = pair
+    ncols = len((rows_a + rows_b)[0]) if rows_a + rows_b else 1
+    got = linalg.intersect_spans(rows_a, rows_b, ncols)
+    assert typed(got) == typed(ref_intersect_spans(rows_a, rows_b, ncols))
+
+
+def test_fixed_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+    assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
+    assert linalg.invert([]) == []
+    assert linalg.rref([[0]]) == ([], [])
+    assert typed(linalg.rref([[Fraction(-3, 7)]])) == typed(([[Fraction(1)]], [0]))
+    assert typed(linalg.invert([[Fraction(-3, 7)]])) == typed([[Fraction(-7, 3)]])
+    with pytest.raises(ValueError, match="singular"):
+        linalg.invert([[0]])
+    assert linalg.solve_combination([], [0, 0]) == []
+    assert linalg.solve_combination([], [0, 1]) is None
+    assert linalg.solve_combination([[0, 0]], [0, 1]) is None
+    # entries may be ints, Fractions or strings such as "1/2"
+    rows = [[1, "1/2", Fraction(2, 3)], ["3", 0, "-1/3"]]
+    assert typed(linalg.rref(rows)) == typed(ref_rref(rows))

@@ -1,20 +1,26 @@
 """The rational kernels against a per-term ``Fraction`` reference.
 
-The wedge and the pure tensor run on integer numerators over a common
+Exterior and tensor power elements store integer numerators over one
 denominator, and the slice, diamond and graded product kernels apply one
-folded sign per term.  Each is compared here with the definition written
-term by term in ``Fraction`` arithmetic, with signs from permutation
-parities, on coefficients whose denominators are 1, 6, a large prime and
-the Mersenne prime 2**61 - 1.  Every stored coefficient must be a nonzero
-``Fraction``.
+folded sign per term.  Each operation is compared here with the
+definition written term by term in ``Fraction`` arithmetic, with signs
+from permutation parities, on coefficients whose denominators are 1, 6,
+a large prime and the Mersenne prime 2**61 - 1.  After every operation
+the stored pair must be reduced (a positive denominator sharing no
+factor with all the numerators, no zero numerator), every coefficient
+of the ``terms`` view must be a nonzero ``Fraction``, and ``==`` must
+agree with comparing the views.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from extensor.exterior import ExteriorElement
+from extensor import linalg
+from extensor.cg_algebra import OrderedBasis, PeanoSpace
+from extensor.exterior import ExteriorElement, substitute
 from extensor.tensor_power import TensorPowerElement, diamond, graded_product
 
 DENOMINATORS = (1, 6, 1_000_000_007, 2 ** 61 - 1)
@@ -57,13 +63,57 @@ def nonzero(out):
     return {k: c for k, c in out.items() if c}
 
 
-def ref_wedge(a, b):
+def ref_wedge_terms(a, b):
     out = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+    for u, cu in a.items():
+        for v, cv in b.items():
             sign, w = merge(u, v)
             if sign:
                 add(out, w, sign * cu * cv)
+    return nonzero(out)
+
+
+def ref_wedge(a, b):
+    return ref_wedge_terms(a.terms, b.terms)
+
+
+def ref_substitute(a, images):
+    out = {}
+    for word, c in a.terms.items():
+        image = {(): Fraction(1)}
+        for i in word:
+            image = ref_wedge_terms(image, images[i - 1].terms)
+        for w, x in image.items():
+            add(out, w, c * x)
+    return nonzero(out)
+
+
+def ref_star(basis, a):
+    """Rewrite ``a`` in the basis, take the signed complement of every
+    word, and map back."""
+    n = basis.dim
+    inv = linalg.invert([[v[i] for v in basis.vectors] for i in range(n)])
+    to_basis = [ExteriorElement(n, {(i + 1,): inv[i][j] for i in range(n)})
+                for j in range(n)]
+    from_basis = [ExteriorElement.from_vector(v) for v in basis.vectors]
+    full = tuple(range(1, n + 1))
+    starred = {}
+    for w, c in ref_substitute(a, to_basis).items():
+        comp = tuple(i for i in full if i not in w)
+        starred[comp] = merge(w, comp)[0] * c
+    return ref_substitute(ExteriorElement(n, starred), from_basis)
+
+
+def ref_meet(ps, a, b):
+    """The left slice expansion: ``sum c [w1 ^ b] w2`` over the
+    (n - step b, step a + step b - n) slices of ``a``."""
+    n, sa, sb = ps.dim, a.step(), b.step()
+    top = tuple(range(1, n + 1))
+    scale = ps.integral.terms[top]
+    out = {}
+    for (w1, w2), c in ref_slice(a, (n - sb, sa + sb - n)).items():
+        br = ref_wedge_terms({w1: Fraction(1)}, b.terms).get(top, 0) / scale
+        add(out, w2, c * br)
     return nonzero(out)
 
 
@@ -140,6 +190,9 @@ def tensor(draw, dim, m, max_terms=5):
 
 
 def assert_stored(x, expected):
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(n) is int and n != 0 for n in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
     assert x.terms == expected
     assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
 
@@ -215,3 +268,100 @@ def test_diamond_cancels_across_keys(c):
     assert_stored(diamond(1, 2, 1, t), {})
     assert_stored(diamond(1, 1, 2, t), {})
     assert ref_diamond(1, 2, 1, t) == {}
+
+
+def assert_equality_agrees(x, y):
+    assert (x == y) == (x.terms == y.terms)
+    assert (x != y) == (x.terms != y.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_module_operations_store_reduced_pairs(data):
+    dim = data.draw(st.integers(0, 4))
+    words = st.sampled_from(all_words(dim))
+    ta, tb = (data.draw(st.dictionaries(words, coefficients, max_size=5)) for _ in "ab")
+    a, b = ExteriorElement(dim, ta), ExteriorElement(dim, tb)
+    s = data.draw(coefficients)
+    assert_stored(a, nonzero(ta))
+    assert_stored(b, nonzero(tb))
+    # the public constructor reads ints and strings as well
+    assert ExteriorElement(dim, {k: str(c) for k, c in ta.items()}) == a
+    assert ExteriorElement(dim, {k: c.numerator for k, c in ta.items()}).den == 1
+    assert_stored(a + b, nonzero({k: ta.get(k, 0) + tb.get(k, 0) for k in {**ta, **tb}}))
+    assert_stored(a - b, nonzero({k: ta.get(k, 0) - tb.get(k, 0) for k in {**ta, **tb}}))
+    assert_stored(-a, nonzero({k: -c for k, c in ta.items()}))
+    assert_stored(a.scale(s), nonzero({k: s * c for k, c in ta.items()}))
+    assert_stored(a - a, {})
+    # the kernel sum of (element, coefficient) parts behind stars and meets
+    assert_stored(ExteriorElement._sum([(a, s), (b, 2)], dim, den=3), nonzero(
+        {k: (s * ta.get(k, 0) + 2 * tb.get(k, 0)) / 3 for k in {**ta, **tb}}))
+    for x, y in ((a, b), (a, a + b - b), (a.scale(s), a), (a + b, b + a),
+                 ((a + b).scale(s), a.scale(s) + b.scale(s))):
+        assert_equality_agrees(x, y)
+    t, u = data.draw(tensor(dim, 2)), data.draw(tensor(dim, 2))
+    assert_stored(t + u, nonzero({k: t.terms.get(k, 0) + u.terms.get(k, 0)
+                                  for k in {**t.terms, **u.terms}}))
+    assert_stored(t.scale(s), nonzero({k: s * c for k, c in t.terms.items()}))
+    for x, y in ((t, u), (t, t + u - u), (t.scale(s), t)):
+        assert_equality_agrees(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_per_term_reference(data):
+    dim = data.draw(st.integers(0, 4))
+    tdim = data.draw(st.integers(0, 4))
+    a = data.draw(exterior(dim))
+    images = [data.draw(exterior(tdim, max_terms=3)) for _ in range(dim)]
+    assert_stored(substitute(a, images), ref_substitute(a, images))
+
+
+@st.composite
+def bases(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(linalg.rank(rows) == n)
+    return OrderedBasis(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases(), st.data())
+def test_star_matches_the_per_term_reference(basis, data):
+    xs = data.draw(st.lists(exterior(basis.dim), min_size=1, max_size=4))
+    for x in xs:
+        # one missing word fills the star table, several are rewritten at once
+        assert_stored(basis.star(x), ref_star(basis, x))
+    t = data.draw(tensor(basis.dim, 2, max_terms=3))
+    want = {}
+    for (u, v), c in t.terms.items():
+        for w1, c1 in ref_star(basis, ExteriorElement(basis.dim, {u: 1})).items():
+            for w2, c2 in ref_star(basis, ExteriorElement(basis.dim, {v: 1})).items():
+                add(want, (w1, w2), c * c1 * c2)
+    assert_stored(basis.star_tensor(t), nonzero(want))
+
+
+@st.composite
+def homogeneous(draw, dim, step):
+    words = [w for w in all_words(dim) if len(w) == step]
+    return ExteriorElement(dim, draw(st.dictionaries(
+        st.sampled_from(words), coefficients.filter(bool), min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_meets_match_the_per_term_reference(data):
+    n = data.draw(st.integers(1, 4))
+    ps = PeanoSpace.standard(n, data.draw(coefficients.filter(bool)))
+    sa, sb = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    a, b = data.draw(homogeneous(n, sa)), data.draw(homogeneous(n, sb))
+    want = ref_meet(ps, a, b) if sa + sb >= n else {}
+    assert_stored(ps.meet(a, b), want)
+    assert_stored(ps.meet(a, b, side="right"), want)
+    sign = (-1) ** ((sa + sb - n) * (n - sb)) if sa + sb >= n else 1
+    assert_stored(ps.dot_meet(a, b), {k: sign * c for k, c in want.items()})
+    c = ps.bracket_element(a.wedge(b))
+    assert type(c) is Fraction
+    assert c == ref_wedge(a, b).get(tuple(range(1, n + 1)), 0) / ps.integral.terms[
+        tuple(range(1, n + 1))]
