@@ -16,14 +16,14 @@ the doubly standard basis, whose place columns also increase strictly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, groupby, product as iproduct
 from math import comb
 
 from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
-                          _graded_components, make_biproduct)
+                          _graded_components, _letter_pattern, _renamed,
+                          _shared_echelon, make_biproduct)
 from .tensorops import IntegerTerms, _sum_terms
 from .words import position_slices, sort_with_sign, word_slices
 
@@ -356,18 +356,19 @@ def _standard_candidates(content: dict[str, int], pdeg: dict[int, int]):
                 yield tuple(map(Biproduct, words, degrees))
 
 
-# Each component's echelon is built once.  Its size grows fast with the
-# degree: keeping every one that the exchange and polarization sweeps
-# meet raised their peak RSS by 6-7% over building them per call, this
-# bound by 3-4%, while still serving the components a sweep revisits.
-_ECHELON_CACHE_SIZE = 128
+# The echelon of each letter pattern, built once on the letters of the
+# first component met with it; every other component of the pattern
+# reaches it through the order-preserving renaming of its letters (see
+# letterplace._shared_echelon).  Its memory grows with the number of
+# patterns met, not of components: a seed-0 pass of the exchange and
+# polarization sweeps meets 337 components of 29 patterns.
+_component_echelons: dict[tuple, tuple] = {}
 
 
-@lru_cache(maxsize=_ECHELON_CACHE_SIZE)
-def _component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
+def _build_component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
     """The echelon of the doubly standard products of one (place
     degrees, letter content) component, each labelled by its rows.
-    Every caller shares it, so it is only ever reduced against."""
+    It is the same for every m that holds the places."""
     echelon = linalg.SparseEchelon()
     for rows in _standard_candidates(dict(content_t), dict(pdeg_t)):
         if not echelon.insert(_row_product(rows, m).terms, label=rows):
@@ -378,20 +379,30 @@ def _component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
 def standard_expansion(e: LetterplaceElement) -> BitableauElement:
     """Exact coordinates of an element in the doubly standard basis.
 
-    Works one (place degree, letter content) component at a time;
-    every candidate must add a pivot and every component must reduce to
+    Works one (place degree, letter content) component at a time,
+    against the echelon of the component's letter pattern; every
+    candidate must add a pivot and every component must reduce to
     zero, so a failure of either spanning or independence raises
     instead of returning a wrong answer.
     """
     m = e.m
     out: dict[Rows, int] = {}
     for (pdeg_t, content_t), vec in _graded_components(e).items():
+        pattern, letters = _letter_pattern(pdeg_t, content_t)
+        renaming, echelon = _shared_echelon(
+            _component_echelons, pattern, letters,
+            lambda: _build_component_echelon(pdeg_t, content_t, m))
+        if renaming:
+            back = dict(zip(renaming.values(), renaming))
         coords: dict = {}
-        if _component_echelon(pdeg_t, content_t, m).reduce(vec, coords):
+        if echelon.reduce(_renamed(vec, renaming), coords):
             raise AssertionError("standard products failed to span")
         for rows, c in coords.items():
             if c.denominator != 1:
                 raise AssertionError("non-integral standard coordinates")
+            if renaming:
+                rows = tuple(Biproduct(tuple(back[x] for x in r.word), r.degrees)
+                             for r in rows)
             out[rows] = c.numerator
     return BitableauElement._trusted(out, m)
 

@@ -130,6 +130,40 @@ def _graded_components(e: LetterplaceElement) -> dict:
     return components
 
 
+def _letter_pattern(pdeg_t: tuple, content_t: tuple) -> tuple[tuple, LetterWord]:
+    """The letter pattern of a :func:`_graded_components` key, and its
+    sorted letters: the pattern is the place degrees with the letter
+    counts in sorted-letter order."""
+    return (pdeg_t, tuple(c for _, c in content_t)), tuple(x for x, _ in content_t)
+
+
+def _shared_echelon(table: dict, pattern, letters: LetterWord, build):
+    """``(renaming, echelon)`` for a component with sorted ``letters``.
+
+    ``table`` maps a letter pattern to the letters it was first met
+    with and the echelon ``build()`` made on them.  Components of one
+    pattern differ only by the order-preserving renaming of their
+    sorted letters, which keeps canonical monomials canonical and their
+    order, so one echelon serves all of them.  ``renaming`` sends
+    ``letters`` onto the letters of the echelon, None when they are the
+    same.
+    """
+    entry = table.get(pattern)
+    if entry is None:
+        entry = table[pattern] = (letters, build())
+    own, echelon = entry
+    return (None if own == letters else dict(zip(letters, own))), echelon
+
+
+def _renamed(vec: dict, renaming: dict | None) -> dict:
+    """A vector of canonical monomials with each letter renamed, itself
+    when ``renaming`` is None; an order-preserving renaming leaves each
+    monomial canonical."""
+    if renaming is None:
+        return vec
+    return {tuple((renaming[x], i) for x, i in mono): c for mono, c in vec.items()}
+
+
 def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     """Place polarization from place h to place k, a derivation.
 

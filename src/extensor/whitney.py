@@ -9,9 +9,11 @@ basis product that contains a dependent row.  The deletion is sound by
 construction but not complete: some members of the ideal keep a
 nonzero normal form, so the brute-force linear-algebra membership
 oracle is the test of zero.  The oracle builds the echelon of each
-ideal component once per :class:`Matroid` and keeps it on the matroid,
-so the echelons live as long as the matroid does and their memory
-grows with the number of distinct components met.
+letter and dependence pattern of ideal components once per
+:class:`Matroid` and keeps it on the matroid, shared by every
+component with those patterns through an order-preserving renaming of
+letters, so the echelons live as long as the matroid does and their
+memory grows with the number of patterns met, not of components.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .bitableau import BitableauElement, standard_expansion
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
 from .letterplace import (LetterplaceElement, _graded_components,
+                          _letter_pattern, _renamed, _shared_echelon,
                           _sum_products, _var_key, expand_raw, phi)
 from .tensor_power import TensorPowerElement
 from .words import word_slices
@@ -49,9 +52,11 @@ class Matroid:
         self.name = name or f"matroid({''.join(self.ground)})"
         self._rank_fn = rank_fn
         self._cache: dict[frozenset, int] = {}
-        # ideal component echelons of the membership oracle, keyed by
-        # (place degrees, content, m); see _ideal_echelon
-        self._ideal_echelons: dict[tuple, linalg.SparseEchelon] = {}
+        # ideal component echelons of the membership oracle: one per
+        # letter and dependence pattern, and the (renaming, echelon) of
+        # each (place degrees, content, m) met; see _ideal_echelon
+        self._pattern_echelons: dict[tuple, tuple] = {}
+        self._ideal_echelons: dict[tuple, tuple] = {}
         self._spot_check()
 
     def rank(self, subset: Iterable[str]) -> int:
@@ -138,14 +143,17 @@ def make_matroid(doc: Mapping) -> Matroid:
     ``{"kind": "uniform", "n": 3, "k": 2}`` or
     ``{"kind": "linear", "letters": [...], "columns": [[...], ...]}``
     with rationals as numbers or strings, read exactly by
-    :func:`linalg.rational`; ``letters`` is optional in both.  A
-    malformed document raises ValueError.
+    :func:`linalg.rational`; ``letters`` is optional in both, a list of
+    nonempty strings or a string of one-character letters.  A malformed
+    document raises ValueError.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("a matroid document must be a JSON object")
     kind, letters = doc.get("kind"), doc.get("letters")
     if not isinstance(letters, (list, str, type(None))):
         raise ValueError("matroid field 'letters' must be a list")
+    if isinstance(letters, list) and not all(isinstance(x, str) and x for x in letters):
+        raise ValueError("matroid letters must be nonempty strings")
     if kind == "uniform":
         n, k = doc.get("n"), doc.get("k")
         if type(n) is not int or type(k) is not int:
@@ -270,46 +278,61 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
 
 
 def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
-                   m: int) -> linalg.SparseEchelon:
-    """The echelon of the ideal component with place degrees ``pdeg_t``
-    and letter content ``content_t`` in m places.
+                   m: int) -> tuple[dict | None, linalg.SparseEchelon]:
+    """``(renaming, echelon)`` of the ideal component with place degrees
+    ``pdeg_t`` and letter content ``content_t`` in m places.
 
-    Spanned by the monomial multiples of the dependent-word biproducts
-    of the component.  Built on first use and kept in the matroid's
-    ``_ideal_echelons``, so it lives as long as the matroid; callers
-    only reduce against it.
+    The component depends on its letters only through their order and
+    which subsets of them are dependent, so the matroid keeps one
+    echelon per letter pattern and dependence pattern, in
+    ``_pattern_echelons``; ``renaming`` sends the component's letters
+    onto that echelon's, in order, and is None when they are the same.
+    ``_ideal_echelons`` keeps the pair per component, so each
+    component's dependence pattern is worked out once.  Both live as
+    long as the matroid; callers only reduce against the echelon.
     """
     key = (pdeg_t, content_t, m)
-    echelon = matroid._ideal_echelons.get(key)
-    if echelon is not None:
-        return echelon
+    hit = matroid._ideal_echelons.get(key)
+    if hit is None:
+        pattern, letters = _letter_pattern(pdeg_t, content_t)
+        dependent = tuple(sub for size in range(1, len(letters) + 1)
+                          for sub in combinations(range(len(letters)), size)
+                          if not matroid.is_independent(letters[i] for i in sub))
+        hit = matroid._ideal_echelons[key] = _shared_echelon(
+            matroid._pattern_echelons, (pattern, dependent), letters,
+            lambda: _build_ideal_echelon(pdeg_t, content_t, m, dependent))
+    return hit
+
+
+def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
+                         dependent: tuple) -> linalg.SparseEchelon:
+    """The echelon of an ideal component, spanned by the monomial
+    multiples of the biproducts of its dependent words: the subsets of
+    its sorted letters at the ``dependent`` index tuples."""
     pdeg = dict(pdeg_t)
     content = dict(content_t)
-    degree = sum(pdeg.values())
-    support = [x for x, c in content.items() if c]
+    letters = [x for x, _ in content_t]
     echelon = linalg.SparseEchelon()
-    for size in range(1, degree + 1):
-        for wset in combinations(sorted(support), size):
-            if matroid.is_independent(wset):
+    for sub in dependent:
+        wset = tuple(letters[i] for i in sub)
+        size = len(wset)
+        rest_content = dict(content)
+        for x in wset:
+            rest_content[x] -= 1
+        for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
+                               for p in range(1, m + 1))):
+            if sum(comp) != size:
                 continue
-            rest_content = dict(content)
-            for x in wset:
-                rest_content[x] -= 1
-            for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
-                                   for p in range(1, m + 1))):
-                if sum(comp) != size:
-                    continue
-                gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
-                gen = expand_raw(wset, gen_deg, m)
-                if not gen:
-                    continue
-                rest_pdeg = {p: pdeg.get(p, 0) - gen_deg.get(p, 0)
-                             for p in range(1, m + 1)}
-                for mono in _monomials_with(rest_content, rest_pdeg, m):
-                    mult = LetterplaceElement(m, {mono: 1}) * gen
-                    if mult:
-                        echelon.insert(mult.terms)
-    matroid._ideal_echelons[key] = echelon
+            gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
+            gen = expand_raw(wset, gen_deg, m)
+            if not gen:
+                continue
+            rest_pdeg = {p: pdeg.get(p, 0) - gen_deg.get(p, 0)
+                         for p in range(1, m + 1)}
+            for mono in _monomials_with(rest_content, rest_pdeg, m):
+                mult = LetterplaceElement(m, {mono: 1}) * gen
+                if mult:
+                    echelon.insert(mult.terms)
     return echelon
 
 
@@ -322,19 +345,23 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     dependent-word biproducts, and decides membership by exact
     elimination.  Independent of the straightening route.
 
-    Each component's echelon is built once per matroid and lives as
-    long as the matroid does, so the matroid's memory grows with the
-    number of distinct components the oracle has met.  Every component
-    of ``e`` is checked against ``max_degree`` before any is looked up
-    or built.
+    Each ideal echelon is built once per matroid and letter and
+    dependence pattern (see :func:`_ideal_echelon`) and lives as long as
+    the matroid does, so the matroid's memory grows with the number of
+    patterns the oracle has met, not of components.  Every component of
+    ``e`` is checked against ``max_degree`` before any is looked up or
+    built.
     """
     components = _graded_components(e)
     for pdeg_t, _ in components:
         degree = sum(q for _, q in pdeg_t)
         if degree > max_degree:
             raise ValueError(f"component of degree {degree} exceeds the configured limit")
-    return not any(_ideal_echelon(matroid, pdeg_t, content_t, e.m).reduce(vec)
-                   for (pdeg_t, content_t), vec in components.items())
+    for (pdeg_t, content_t), vec in components.items():
+        renaming, echelon = _ideal_echelon(matroid, pdeg_t, content_t, e.m)
+        if echelon.reduce(_renamed(vec, renaming)):
+            return False
+    return True
 
 
 # -- exchange relations ------------------------------------------------

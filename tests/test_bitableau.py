@@ -1,16 +1,19 @@
 import random
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from extensor import bitableau, linalg
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
                                 _compositions, _first_violation, _rewrite_pair,
                                 _standard_candidates, _straighten_key,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
-from extensor.letterplace import Biproduct, LetterplaceElement, make_biproduct
+from extensor.letterplace import (Biproduct, LetterplaceElement, _graded_components,
+                                  _sum_products, expand_raw, make_biproduct)
 from extensor.tensorops import _sum_terms
 
 LETTERS = "abcdef"
@@ -365,6 +368,70 @@ class TestStandardExpansion:
         assert exp.to_letterplace() == b.to_letterplace()
         assert all(is_doubly_standard(rows) for rows in exp.terms)
         assert any(len(rows) == 1 for rows in exp.terms)
+
+
+def reference_expansion(e: LetterplaceElement) -> dict:
+    """Doubly standard coordinates of ``e``, each component's echelon
+    built from its own candidates on its own letters, with no table."""
+    out = {}
+    for (pdeg_t, content_t), vec in _graded_components(e).items():
+        echelon = linalg.SparseEchelon()
+        for rows in _standard_candidates(dict(content_t), dict(pdeg_t)):
+            assert echelon.insert(BitableauElement(e.m, {rows: 1}).to_letterplace().terms,
+                                  label=rows)
+        coords: dict = {}
+        assert not echelon.reduce(vec, coords)
+        for rows, c in coords.items():
+            assert c.denominator == 1
+            if c:
+                out[rows] = int(c)
+    return out
+
+
+# letters whose string order is not their numeric order, and an upper
+# case letter before the lower case ones
+ALPHABETS = ["abcdef", ("x1", "x10", "x2", "x3", "x20"), ("B", "a", "b", "c")]
+
+
+@st.composite
+def renamed_pairs(draw):
+    """An element and its image under a random injective renaming of
+    its letters, in as many places or one more: its contents share
+    counts and place degrees with the element's, in the same or in
+    another sorted-letter order."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    m = draw(st.integers(1, 3))
+    monos = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, m)), max_size=4),
+        st.integers(-3, 3)), min_size=1, max_size=4))
+    renaming = dict(zip(alphabet, draw(st.permutations(alphabet))))
+    m2 = m + draw(st.integers(0, 1))
+    e = LetterplaceElement(m, _sum_products(monos))
+    image = LetterplaceElement(m2, _sum_products(
+        ([(renaming[x], i) for x, i in seq], c) for seq, c in monos))
+    return e, image
+
+
+class TestSharedEchelons:
+    """Components with one letter pattern share one echelon."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(renamed_pairs())
+    def test_coordinates_match_the_unshared_reference(self, pair):
+        e, image = pair
+        # a cold table first; the image meets it warm, built on e's letters
+        with patch.dict(bitableau._component_echelons, clear=True):
+            for x in (e, image):
+                assert standard_expansion(x).terms == reference_expansion(x)
+
+    def test_one_entry_per_pattern(self):
+        pieces = [(("x2", "x10"), {1: 1, 2: 1}), (("a", "c"), {1: 1, 2: 1}),
+                  (("b", "c"), {1: 1, 2: 1}), (("x1", "x10", "x2"), {1: 2, 2: 1})]
+        with patch.dict(bitableau._component_echelons, clear=True):
+            for word, degrees in pieces:
+                e = expand_raw(word, degrees, 2)
+                assert standard_expansion(e).terms == reference_expansion(e)
+            assert len(bitableau._component_echelons) == 2
 
 
 def _all_row_products(content: dict, pdeg: dict):

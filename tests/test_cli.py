@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,9 @@ class TestCommands:
         {"kind": "linear", "columns": [[None]]},
         {"kind": "linear", "columns": [[1, 0], [0, 1]], "letters": ["a", "a"]},
         {"kind": "linear", "columns": [[float("inf"), 0], [0, 1]]},
+        {"kind": "linear", "letters": [1, 2, 3], "columns": [[1, 0], [0, 1], [1, 1]]},
+        {"kind": "uniform", "n": 3, "k": 2, "letters": ["a", "b", ["c"]]},
+        {"kind": "uniform", "n": 2, "k": 1, "letters": ["a", ""]},
     ])
     def test_malformed_matroid_is_one_line_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -497,3 +501,61 @@ def test_random_token_strings_never_escape_the_exit_codes(command, tokens, sep):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+# JSON values of every type, for the fields of a matroid document
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                         st.floats(width=32), st.text(max_size=3))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2),
+                        st.dictionaries(st.text(max_size=1), JSON_SCALARS, max_size=1))
+NUMBERS = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3", "0.5"]))
+
+
+@st.composite
+def matroid_documents(draw):
+    """Documents of up to four elements: each field usually of its own
+    type and shape, else missing or any JSON value; one letter or one
+    column entry is sometimes any JSON value."""
+    size = draw(st.integers(0, 4))
+    height = draw(st.integers(0, 3))
+
+    def mangled(items):
+        if items and draw(st.integers(0, 3)) == 0:
+            items[draw(st.integers(0, len(items) - 1))] = draw(JSON_VALUES)
+        return items
+
+    own = {
+        "kind": lambda: draw(st.sampled_from(["uniform", "linear"])),
+        "n": lambda: draw(st.integers(-1, size)),
+        "k": lambda: draw(st.integers(-1, 4)),
+        "letters": lambda: draw(st.text(min_size=size, max_size=size)) if draw(st.booleans())
+        else mangled(draw(st.lists(st.sampled_from(["a", "b", "c", "x1", "x10", "x2"]),
+                                   min_size=size, max_size=size, unique=True))),
+        "columns": lambda: [mangled(draw(st.lists(NUMBERS, min_size=height, max_size=height)))
+                            for _ in range(size)],
+    }
+    doc = {}
+    for field, value in own.items():
+        shape = draw(st.sampled_from(["own"] * 5 + ["missing", "any"]))
+        if shape != "missing":
+            doc[field] = value() if shape == "own" else draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroid_documents(), st.sampled_from([["exchange", "--max-word", "1"],
+                                             ["polarization", "--max-degree", "2"]]),
+       st.sampled_from([[], ["--json"]]))
+def test_random_matroid_documents_never_escape_the_exit_codes(doc, check, json_flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matroid.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["matroid", str(path)] + check + json_flag)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -473,6 +473,33 @@ class TestOracleEchelons:
             assert not ideal_membership_bruteforce(member + other, matroid)
         assert sorted(m for _, _, m in matroid._ideal_echelons) == [2, 3]
 
+    def test_one_echelon_per_letter_and_dependence_pattern(self, echelon_builds):
+        # abd and bcf are dependent, abc is not: the three contents share
+        # their counts and place degrees
+        def elements(word, m=2):
+            return [expand_raw(word, {1: 2, 2: 1}, m),
+                    LetterplaceElement.from_vars(m, [(word[0], 1), (word[1], 1),
+                                                     (word[2], 2)])]
+
+        matroid = six_point_matroid()
+        fresh = {word: [ideal_membership_bruteforce(x, fresh_copy(matroid))
+                        for x in elements(word)] for word in ("abd", "bcf", "abc")}
+        assert fresh == {"abd": [True, False], "bcf": [True, False],
+                         "abc": [False, False]}
+        del echelon_builds[:]
+        for word, builds in (("abd", 1), ("bcf", 1), ("abc", 2)):
+            assert [ideal_membership_bruteforce(x, matroid)
+                    for x in elements(word)] == fresh[word]
+            assert len(echelon_builds) == builds
+        assert len(matroid._ideal_echelons) == 3
+        assert len(matroid._pattern_echelons) == 2
+        # the same patterns in three places build nothing new
+        for word in ("bcf", "ace", "abc"):
+            assert [ideal_membership_bruteforce(x, matroid)
+                    for x in elements(word, 3)] == fresh.get(word, fresh["abd"])
+        assert len(echelon_builds) == 2
+        assert len(matroid._ideal_echelons) == 6
+
 
 @pytest.mark.xfail(strict=True, reason="deleting dependent-row products is "
                    "sound but not complete")
