@@ -7,11 +7,15 @@ the rewrite replaces the first violating pair using the two-row shuffle
 identity, which expresses the product as a signed sum of pairs that are
 either strictly longer on top or lexicographically smaller there.
 Terms are rewritten in one fixed order: least total word length first,
-then by the rows' words and degrees.  The rewrite preserves the value
-in the letterplace algebra exactly, which tests check through the
-place-regrouping map.  Its output is
-word-standard only; :func:`standard_expansion` gives the coordinates in
-the doubly standard basis, whose place columns also increase strictly.
+then by the rows' words and degrees.  Each call keeps one table from
+the row pairs it meets to their replacements, or to a mark for a
+standard pair, so finding a violation is a few lookups and each pair is
+rewritten once.  The rewrite preserves the value in the letterplace
+algebra exactly, which tests check through the place-regrouping map.
+Its output is word-standard only; :func:`standard_expansion` gives the
+coordinates in the doubly standard basis, whose place columns also
+increase strictly.  Both the value of a product of rows and the basis
+come from one flat kernel, :func:`_row_product_terms`.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from math import comb
 
 from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
-                          _graded_components, _letter_pattern, _renamed,
-                          _shared_echelon, make_biproduct)
+                          _graded_components, _letter_pattern, _merge_monomials,
+                          _renamed, _shared_echelon, make_biproduct)
 from .tensorops import IntegerTerms, _sum_terms
-from .words import position_slices, sort_with_sign, word_slices
+from .words import sort_word, word_slices
 
 
 class StraighteningBudgetExceeded(RuntimeError):
@@ -51,7 +55,7 @@ class BitableauElement(IntegerTerms):
 
     @staticmethod
     def _sort_key(rows):
-        return (len(rows), tuple(r.sort_key() for r in rows))
+        return (len(rows), rows)
 
     @staticmethod
     def _key_str(rows) -> str:
@@ -95,19 +99,23 @@ class BitableauElement(IntegerTerms):
 
     def to_letterplace(self) -> LetterplaceElement:
         """Expand every row product; the value in the letterplace algebra."""
-        return LetterplaceElement._sum(
-            ((_row_product(rows, self.m), c) for rows, c in self.terms.items()),
-            self.m)
+        m = self.m
+        return LetterplaceElement._trusted(_sum_terms(
+            (mono, c * v) for rows, c in self.terms.items()
+            for mono, v in _row_product_terms(rows, m).items()), m)
 
 
-def _row_product(rows: Rows, m: int) -> LetterplaceElement:
-    """The product of the expanded rows in the letterplace algebra."""
-    acc = LetterplaceElement.unit(m)
+def _row_product_terms(rows: Rows, m: int) -> dict:
+    """The product of the expanded rows in the letterplace algebra, as
+    summed terms (a cancelled key stays at zero).  Every choice of one
+    monomial per row expansion is merged into one signed monomial, left
+    to right, and all of them go into one sum."""
+    partial = [((), 1)]
     for row in rows:
-        acc = acc * biproduct_expand(row, m)
-        if not acc:
-            break
-    return acc
+        factor = biproduct_expand(row, m).terms.items()
+        partial = [(mono, s * c * cv) for u, c in partial for v, cv in factor
+                   for s, mono in [_merge_monomials(u, v)] if s]
+    return _sum_terms(partial)
 
 
 def is_standard(rows) -> bool:
@@ -151,8 +159,8 @@ def _pair_terms(sign: int, upper, up, lower, down) -> list[tuple[int, Rows]]:
     nothing when a word repeats a letter.  The rewrite passes normalized
     degrees that match the word lengths, so the rows are built directly;
     an empty word is the unit and drops out."""
-    sa, wa = sort_with_sign(upper)
-    sb, wb = sort_with_sign(lower)
+    sa, wa = sort_word(upper)
+    sb, wb = sort_word(lower)
     if not (sa and sb):
         return []
     rows = tuple(Biproduct(w, d) for w, d in ((wa, up), (wb, down)) if w)
@@ -182,14 +190,9 @@ def _rewrite_pair(r1: Biproduct, r2: Biproduct) -> list[tuple[int, Rows]]:
     mu1, mu2 = r1.degrees, r2.degrees
     out: list[tuple[int, Rows]] = []
 
-    # the other slices of v, negated and moved across
-    k1 = p - t + 1
-    distinguished = tuple(range(t, t + k1))
-    for sl_sign, blocks in position_slices(len(v), (k1, t)):
-        if blocks[0] == distinguished:
-            continue
-        v1 = tuple(v[i] for i in blocks[0])
-        v2 = tuple(v[i] for i in blocks[1])
+    # the other slices of v, negated and moved across; the distinguished
+    # one takes the last p - t + 1 positions, the last slice in order
+    for sl_sign, (v1, v2) in word_slices(v, (p - t + 1, t))[:-1]:
         out.extend(_pair_terms(-sigma * sl_sign, u + v1, mu1, v2 + w, mu2))
 
     # the shuffle identity right side: r-vectors below the lower
@@ -230,31 +233,40 @@ def _compositions(total: int, caps):
 def _straighten_key(rows: Rows):
     """The term order of the rewrite: total word length, then the rows'
     words and degrees.  Equal keys mean equal row tuples."""
-    return (sum(len(r.word) for r in rows), tuple(r.sort_key() for r in rows))
+    return (sum(len(r.word) for r in rows), rows)
+
+
+# the pair table's mark for a standard pair: a replacement may be empty
+_STANDARD = object()
 
 
 def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
     """Rewrite until every surviving row product is standard.
 
     Each step takes the live term of least :func:`_straighten_key`.  A
-    heap beside the worklist holds ``(key, rows)``, pushed when ``rows``
-    enters the worklist, so each key is computed once per entry; an
-    entry whose rows have since left the worklist is skipped when
-    popped.  The key tells row tuples apart, so two equal heap entries
-    hold the same rows and row products are never compared.  The
-    rewrite of each violating pair is built once per call and reused
-    when the same pair recurs.  The budget counts rewrite steps, reused
-    rewrites included; exceeding it raises.
+    heap beside the worklist holds ``(total, rows)``, pushed when
+    ``rows`` enters the worklist; an entry whose rows have since left
+    the worklist is skipped when popped.  A row tuple is itself a tuple
+    of ``(word, degrees)`` tuples, so this orders terms as the key does,
+    and the total word length is carried from the parent term because a
+    rewrite keeps the content.  A table kept for the call maps each
+    consecutive row pair met to its replacement, or to a mark when the
+    pair is standard, so the first violation is found by lookups and
+    each pair rewrite is built once.  The budget counts rewrite steps,
+    reused rewrites included; exceeding it raises, and a negative
+    budget is refused.
     """
+    if budget < 0:
+        raise ValueError(f"negative rewrite budget {budget}")
     work: dict[Rows, int] = {}
     heap: list = []
 
-    def add(rows: Rows, c: int):
+    def add(rows: Rows, c: int, total: int):
         # c is never 0: input terms are nonzero, and so is every
         # rewrite coefficient
         v = work.get(rows)
         if v is None:
-            heappush(heap, (_straighten_key(rows), rows))
+            heappush(heap, (total, rows))
             work[rows] = c
         elif v + c:
             work[rows] = v + c
@@ -262,28 +274,32 @@ def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
             del work[rows]
 
     for rows, c in e.terms.items():
-        add(rows, c)
+        add(rows, c, sum(len(r.word) for r in rows))
     done: dict[Rows, int] = {}
-    rewrites: dict[tuple[Biproduct, Biproduct], tuple] = {}
+    pairs: dict[Rows, object] = {}
     steps = 0
     while work:
-        _, rows = heappop(heap)
+        total, rows = heappop(heap)
         coeff = work.pop(rows, None)
         if coeff is None:
             continue
-        idx = _first_violation(rows)
-        if idx is None:
+        for idx in range(len(rows) - 1):
+            pair = rows[idx:idx + 2]
+            rewrite = pairs.get(pair)
+            if rewrite is None:
+                rewrite = pairs[pair] = (_STANDARD if _first_violation(pair) is None
+                                         else tuple(_rewrite_pair(*pair)))
+            if rewrite is not _STANDARD:
+                break
+        else:
             done[rows] = done.get(rows, 0) + coeff
             continue
         steps += 1
         if steps > budget:
             raise StraighteningBudgetExceeded(f"no fixed point within {budget} steps")
-        pair = rows[idx:idx + 2]
-        if pair not in rewrites:
-            rewrites[pair] = tuple(_rewrite_pair(*pair))
         head, tail = rows[:idx], rows[idx + 2:]
-        for c2, newrows in rewrites[pair]:
-            add(head + newrows + tail, coeff * c2)
+        for c2, newrows in rewrite:
+            add(head + newrows + tail, coeff * c2, total)
     return e._like(done)
 
 
@@ -371,7 +387,7 @@ def _build_component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
     It is the same for every m that holds the places."""
     echelon = linalg.SparseEchelon()
     for rows in _standard_candidates(dict(content_t), dict(pdeg_t)):
-        if not echelon.insert(_row_product(rows, m).terms, label=rows):
+        if not echelon.insert(_row_product_terms(rows, m), label=rows):
             raise AssertionError("standard products are dependent")
     return echelon
 

@@ -515,6 +515,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_straighten(args) -> int:
+    if args.budget < 0:
+        raise EvalError(f"--budget must be at least 0, got {args.budget}")
     value = evaluate_text(args.expression, Environment(dim=3))
     if isinstance(value, LetterplaceElement):
         value = BitableauElement.from_letterplace(value)

@@ -12,10 +12,9 @@ intertwining divided polarizations with the geometric products there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import tensorops
 from .tensorops import IntegerTerms, _sum_terms
@@ -204,32 +203,21 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
 
 # -- biproducts ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Biproduct:
+class Biproduct(NamedTuple):
     """A word with a place multidegree, e.g. (xy|1^(1) 2^(1)).
 
     Stored with the word strictly increasing and the places sorted;
-    use :func:`make_biproduct` to build one from raw data.
+    use :func:`make_biproduct` to build one from raw data.  A plain
+    tuple underneath, so rows hash, compare and order as
+    ``(word, degrees)`` without Python-level calls.
     """
 
     word: LetterWord
     degrees: tuple[tuple[int, int], ...]   # (place, exponent), exponents > 0
-    # the dataclass hash of (word, degrees), computed once: rows are dict
-    # keys, inside row tuples, on every step of the straightening loop
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.word, self.degrees)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_unit(self) -> bool:
         return not self.word and not self.degrees
-
-    def sort_key(self):
-        return (self.word, self.degrees)
 
     def __str__(self):
         word = "".join(self.word)
@@ -266,8 +254,9 @@ def _expand_biproduct(word: LetterWord, degrees, m: int) -> LetterplaceElement:
     places = tuple(p for p, _ in degrees)
     products = (([(x, places[t]) for t, block in enumerate(blocks) for x in block], sign)
                 for sign, blocks in word_slices(word, sizes))
-    # the public constructor checks the places once per cached expansion
-    return LetterplaceElement(m, _sum_products(products))
+    # biproduct_expand has checked the places; lp_normalize makes every
+    # monomial canonical
+    return LetterplaceElement._trusted(_sum_products(products), m)
 
 
 def biproduct_expand(b: Biproduct, m: int) -> LetterplaceElement:

@@ -18,9 +18,11 @@ memory grows with the number of patterns met, not of components.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
+import json
 import random
 
 from . import linalg
@@ -47,7 +49,8 @@ class Matroid:
     def __init__(self, ground: Sequence[str], rank_fn: Callable[[frozenset], int],
                  name: str = ""):
         self.ground = tuple(str(x) for x in ground)
-        if len(set(self.ground)) != len(self.ground):
+        self._ground_set = frozenset(self.ground)
+        if len(self._ground_set) != len(self.ground):
             raise ValueError("ground set has repeated letters")
         self.name = name or f"matroid({''.join(self.ground)})"
         self._rank_fn = rank_fn
@@ -61,11 +64,12 @@ class Matroid:
 
     def rank(self, subset: Iterable[str]) -> int:
         key = frozenset(subset)
-        if not key <= set(self.ground):
-            raise ValueError(f"{sorted(key)} is not a subset of the ground set")
-        if key not in self._cache:
-            self._cache[key] = int(self._rank_fn(key))
-        return self._cache[key]
+        r = self._cache.get(key)
+        if r is None:
+            if not key <= self._ground_set:
+                raise ValueError(f"{sorted(key)} is not a subset of the ground set")
+            r = self._cache[key] = int(self._rank_fn(key))
+        return r
 
     def is_independent(self, subset: Iterable[str]) -> bool:
         s = frozenset(subset)
@@ -172,7 +176,27 @@ def make_matroid(doc: Mapping) -> Matroid:
         except TypeError as exc:
             raise ValueError(f"bad column entry: {exc}") from None
         return Matroid.linear(dict(zip(letters, vecs)))
-    raise ValueError(f"unknown matroid kind {kind!r}")
+    raise ValueError(f"unknown matroid kind {_json_text(kind)}")
+
+
+def _json_text(value) -> str:
+    """A value of a document read by ``cli.read_document`` as JSON text,
+    its decimals, which the reader made exact rationals, written as
+    decimals again."""
+    if isinstance(value, Fraction):
+        # imported here, off the start-up path of every command
+        from decimal import Decimal, localcontext
+        # exact: a decimal's denominator divides 10**k for some k up to
+        # its bit length, so the quotient has fewer digits than this
+        with localcontext() as ctx:
+            ctx.prec = value.numerator.bit_length() + value.denominator.bit_length() + 1
+            return str(Decimal(value.numerator) / value.denominator)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}"
+                               for k, v in value.items()) + "}"
+    return json.dumps(value)
 
 
 class WhitneyElement:

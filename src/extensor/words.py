@@ -5,11 +5,12 @@ indices on the coordinate side, letters on the letterplace side.  All
 signs are permutation parities relative to the written order of the
 word, so the same helpers serve both sides.
 
-:func:`merge_words` and :func:`word_slices` are pure functions of their
-(tuple) arguments, and a computation meets only a few hundred distinct
-ones, so each looks its answer up in a private unbounded table
-(``_merge`` and ``_slices``, see their ``cache_info()``) that lives as
-long as the process.  The answers are immutable tuples.
+:func:`sort_word`, :func:`merge_words` and :func:`word_slices` are
+pure functions of their (tuple) arguments, and a computation meets only
+a few hundred distinct ones, so each looks its answer up in a private
+unbounded table (``_sort``, ``_merge`` and ``_slices``, see their
+``cache_info()``) that lives as long as the process.  The answers are
+immutable tuples.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ def sort_with_sign(seq):
     if len(set(items)) != len(items):
         return 0, ()
     return (-1) ** inversions(items), tuple(sorted(items))
+
+
+def sort_word(word):
+    """:func:`sort_with_sign` of a word of letters, looked up in a table:
+    the straightening rewrite sorts the same few words over and over."""
+    return _sort(tuple(word))
+
+
+_sort = lru_cache(maxsize=None)(sort_with_sign)
 
 
 def merge_words(u, v):

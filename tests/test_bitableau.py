@@ -13,7 +13,8 @@ from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
 from extensor.letterplace import (Biproduct, LetterplaceElement, _graded_components,
-                                  _sum_products, expand_raw, make_biproduct)
+                                  _sum_products, biproduct_expand, expand_raw,
+                                  make_biproduct)
 from extensor.tensorops import _sum_terms
 
 LETTERS = "abcdef"
@@ -136,6 +137,12 @@ class TestStraighten:
         b = rows_of(1, (("z",), {1: 1}), (("x",), {1: 1}))
         with pytest.raises(StraighteningBudgetExceeded):
             straighten(b, budget=0)
+
+    def test_budget_boundary(self):
+        standard = rows_of(1, (("x",), {1: 1}), (("z",), {1: 1}))
+        assert straighten(standard, budget=0) == standard
+        with pytest.raises(ValueError, match="negative rewrite budget -1"):
+            straighten(standard, budget=-1)
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -326,6 +333,39 @@ class TestStraightenInvariants:
         m = 3
         rewritten = BitableauElement(m, _sum_terms((rows, c) for c, rows in out))
         assert rewritten.to_letterplace() == BitableauElement(m, {pair: 1}).to_letterplace()
+
+
+def row_product_reference(rows, m):
+    """The value of a row product as the letterplace algebra gives it:
+    the expansion of each row, multiplied in one element at a time."""
+    acc = LetterplaceElement.unit(m)
+    for row in rows:
+        acc = acc * biproduct_expand(row, m)
+    return acc
+
+
+class TestFlatKernelsAgainstSecondRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(row_tuples, st.integers(-3, 3)), max_size=4))
+    def test_to_letterplace_is_the_product_of_the_row_expansions(self, terms):
+        m = 3
+        e = BitableauElement(m, _sum_terms(terms))
+        want = LetterplaceElement.zero(m)
+        for rows, c in e.terms.items():
+            want = want + row_product_reference(rows, m).scale(c)
+        assert e.to_letterplace() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(row_tuples, st.integers(-3, 3)), min_size=1, max_size=3))
+    def test_straighten_agrees_with_the_reference(self, terms):
+        # sums of products, so that terms of other contents interleave
+        e = BitableauElement(3, _sum_terms(terms))
+        want, steps = reference_straighten(e)
+        got = straighten(e, budget=steps)
+        assert list(got.terms.items()) == list(want.items())
+        if steps:
+            with pytest.raises(StraighteningBudgetExceeded):
+                straighten(e, budget=steps - 1)
 
 
 @pytest.mark.parametrize("caps", [(), (0,), (3,), (2, 0, 1), (1, 3, 2)])

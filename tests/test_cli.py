@@ -181,6 +181,14 @@ class TestCommands:
             assert main(argv) == 0, argv
             assert capsys.readouterr().out == "-bp(ab; 1:1, 2:1)\n"
 
+    def test_budget_boundary(self, capsys):
+        assert main(["straighten", "-e", "bp(ab; 1:2)", "--budget", "0"]) == 0
+        assert capsys.readouterr().out == "bp(ab; 1:2)\n"
+        assert main(["straighten", "-e", "bp(ab; 1:2)", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be at least 0, got -1\n"
+
     def test_straighten_command(self, capsys):
         code = main(["straighten", "-e", "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1)"])
         assert code == 0
@@ -379,6 +387,7 @@ class TestCommands:
         {"kind": "linear", "letters": [1, 2, 3], "columns": [[1, 0], [0, 1], [1, 1]]},
         {"kind": "uniform", "n": 3, "k": 2, "letters": ["a", "b", ["c"]]},
         {"kind": "uniform", "n": 2, "k": 1, "letters": ["a", ""]},
+        {"kind": 1.5, "n": 3, "k": 2},
     ])
     def test_malformed_matroid_is_one_line_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -388,6 +397,15 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        # numbers from the document are shown as JSON, not as Python objects
+        assert "Fraction(" not in captured.err
+
+    def test_matroid_kind_is_shown_as_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": [1.5, 1e-1000, -0.125, true, null, {"x": "y"}]}')
+        assert main(["matroid", str(path), "exchange"]) == 2
+        assert capsys.readouterr().err == \
+            'error: unknown matroid kind [1.5, 1E-1000, -0.125, true, null, {"x": "y"}]\n'
 
     def test_long_operator_chain_evaluates(self, capsys):
         assert main(["eval", "-e", " + ".join(["e1"] * 3000)]) == 0
@@ -553,6 +571,52 @@ def test_random_matroid_documents_never_escape_the_exit_codes(doc, check, json_f
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["matroid", str(path)] + check + json_flag)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+
+
+@st.composite
+def environment_documents(draw):
+    """Environment documents of up to three dimensions: each field
+    usually of its own type and shape, else missing or any JSON value;
+    one coordinate is sometimes any JSON value, true or false more often
+    than the rest."""
+    dim = draw(st.integers(-1, 3))
+
+    def vector():
+        coords = draw(st.lists(NUMBERS, min_size=max(dim - 1, 0), max_size=max(dim + 1, 0)))
+        if coords and draw(st.integers(0, 2)) == 0:
+            coords[draw(st.integers(0, len(coords) - 1))] = draw(
+                st.one_of(st.booleans(), JSON_VALUES))
+        return coords
+
+    own = {
+        "dim": lambda: dim,
+        "vectors": lambda: {name: vector() for name in draw(
+            st.lists(st.sampled_from(["p", "q", "e1"]), max_size=2, unique=True))},
+        "integral_scale": lambda: draw(NUMBERS),
+    }
+    doc = {}
+    for field, value in own.items():
+        shape = draw(st.sampled_from(["own"] * 5 + ["missing", "any"]))
+        if shape != "missing":
+            doc[field] = value() if shape == "own" else draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(environment_documents(), st.sampled_from(["e1", "p", "p ^ q", "p & q", "*p"]))
+def test_random_environment_documents_never_escape_the_exit_codes(doc, expression):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "env.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--env", str(path), "-e", expression])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
