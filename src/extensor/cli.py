@@ -345,9 +345,14 @@ class Environment:
 
 def read_document(path: str):
     """The JSON document in ``path``, its decimal literals read as exact
-    rationals by :func:`linalg.rational`."""
+    rationals by :func:`linalg.rational`; ``NaN``, ``Infinity`` and
+    ``-Infinity`` are refused with ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_float=rational)
+        return json.load(fh, parse_float=rational, parse_constant=_non_finite)
+
+
+def _non_finite(token: str):
+    raise ValueError(f"{token} is not a finite number")
 
 
 # binary operator nodes, ("add", left, right) and so on
@@ -536,6 +541,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matroid(args) -> int:
+    for option, value in (("--max-word", args.max_word), ("--max-degree", args.max_degree)):
+        if value < 0:
+            raise EvalError(f"{option} must be at least 0, got {value}")
     matroid = make_matroid(read_document(args.file))
     reports: list[Report] = []
     if args.check == "exchange":

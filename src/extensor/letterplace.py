@@ -30,11 +30,16 @@ def _var_key(v: LPVar):
 
 
 def lp_normalize(seq: Iterable[LPVar]):
-    """Canonical form of a product of generators.
+    """Canonical form of an arbitrary product of generators.
 
     Returns ``(sign, monomial)`` with the monomial sorted place-major
     then by letter; the sign is the sorting parity, 0 on a repeated
-    variable.
+    variable.  It coerces every variable and counts inversions, so it
+    serves only products in no known order (:meth:`LetterplaceElement.
+    from_vars` and biproducts whose word is not strictly increasing):
+    the polarizations, the biproduct expansion, the exchange sides and
+    the ideal echelons build their monomials canonical, with their
+    signs, from canonical pieces.
     """
     items = tuple((str(x), int(i)) for x, i in seq)
     sign, srt = sort_with_sign(tuple(_var_key(v) for v in items))
@@ -116,17 +121,32 @@ def _sum_products(products) -> dict:
 
 def _graded_components(e: LetterplaceElement) -> dict:
     """The terms of ``e`` by (place degrees, letter content), each key
-    a sorted tuple of ``(place or letter, count)`` pairs."""
-    components: dict[tuple, dict] = {}
+    a sorted tuple of ``(place or letter, count)`` pairs, in the order
+    the components first appear in ``e``.
+
+    A canonical monomial's places are sorted, so its places and its
+    sorted letters fix the key; the terms are grouped by those first
+    and each group's key is counted once.
+    """
+    groups: dict[tuple, dict] = {}
     for mono, c in e.terms.items():
-        pdeg: dict[int, int] = {}
-        content: dict[str, int] = {}
-        for x, i in mono:
-            pdeg[i] = pdeg.get(i, 0) + 1
-            content[x] = content.get(x, 0) + 1
-        key = (tuple(sorted(pdeg.items())), tuple(sorted(content.items())))
-        components.setdefault(key, {})[mono] = c
-    return components
+        if mono:
+            letters, places = zip(*mono)
+            shape = (places, tuple(sorted(letters)))
+        else:
+            shape = ((), ())
+        group = groups.get(shape)
+        if group is None:
+            groups[shape] = {mono: c}
+        else:
+            group[mono] = c
+    return {(_counts(places), _counts(letters)): group
+            for (places, letters), group in groups.items()}
+
+
+def _counts(atoms: tuple) -> tuple:
+    """``(atom, count)`` pairs of a sorted tuple, in its order."""
+    return tuple((atom, atoms.count(atom)) for atom in dict.fromkeys(atoms))
 
 
 def _letter_pattern(pdeg_t: tuple, content_t: tuple) -> tuple[tuple, LetterWord]:
@@ -167,15 +187,15 @@ def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     """Place polarization from place h to place k, a derivation.
 
     Sends each occurrence of (x|h) in a monomial to (x|k) in place,
-    summed over occurrences, then renormalizes.  k == h counts the
-    place-h variables.
+    summed over occurrences: the divided power of order 1 for k != h;
+    k == h counts the place-h variables.
     """
     if not (1 <= k <= e.m and 1 <= h <= e.m):
         raise ValueError("place out of range")
-    products = ((mono[:pos] + ((letter, k),) + mono[pos + 1:], c)
-                for mono, c in e.terms.items()
-                for pos, (letter, place) in enumerate(mono) if place == h)
-    return e._like(_sum_products(products))
+    if k != h:
+        return polarize_divided(1, k, h, e)
+    return e._like({mono: c * sum(1 for _, place in mono if place == h)
+                    for mono, c in e.terms.items()})
 
 
 def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -183,7 +203,9 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
 
     Moves every h-subset of the place-i variables of a monomial to
     place j; this equals the h-th iterate divided by h! while staying
-    integral.  h = 0 is the identity.
+    integral.  h = 0 is the identity.  Each image is the canonical
+    rest of the monomial merged with the moved variables, signed by
+    the parity of taking the chosen variables out to the end.
     """
     if i == j:
         raise ValueError("divided powers need distinct places")
@@ -193,12 +215,23 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
         raise ValueError("place out of range")
     if h == 0:
         return e
-    products = (([(x, j) if p in chosen else (x, place)
-                  for p, (x, place) in enumerate(mono)], c)
-                for mono, c in e.terms.items()
-                for chosen in combinations(
-                    [p for p, (_, place) in enumerate(mono) if place == i], h))
-    return e._like(_sum_products(products))
+    base = h * (h - 1) // 2
+
+    def images():
+        for mono, c in e.terms.items():
+            n = len(mono)
+            for chosen in combinations(
+                    [p for p, (_, place) in enumerate(mono) if place == i], h):
+                # the variable at position p passes the n - 1 - p after it,
+                # less the chosen ones, on its way to the end
+                parity = sum(n - 1 - p for p in chosen) - base
+                moved = tuple((mono[p][0], j) for p in chosen)
+                rest = tuple(v for p, v in enumerate(mono) if p not in chosen)
+                sign, image = _merge_monomials(rest, moved)
+                if sign:
+                    yield image, (-sign if parity & 1 else sign) * c
+
+    return e._like(_sum_terms(images()))
 
 
 # -- biproducts ------------------------------------------------------
@@ -250,13 +283,24 @@ def make_biproduct(word: Sequence[str], degrees) -> tuple[int, Biproduct | None]
 
 @lru_cache(maxsize=None)
 def _expand_biproduct(word: LetterWord, degrees, m: int) -> LetterplaceElement:
+    """The slice sum of a biproduct whose places lie in 1..m.
+
+    A slice of a strictly increasing word into increasing places is a
+    canonical monomial carrying its slice sign, and distinct slices
+    give distinct monomials, so that sum is built as it stands; any
+    other word or degree order goes through :func:`lp_normalize`.
+    """
     sizes = tuple(q for _, q in degrees)
     places = tuple(p for p, _ in degrees)
-    products = (([(x, places[t]) for t, block in enumerate(blocks) for x in block], sign)
+    products = ((tuple((x, places[t]) for t, block in enumerate(blocks) for x in block), sign)
                 for sign, blocks in word_slices(word, sizes))
-    # biproduct_expand has checked the places; lp_normalize makes every
-    # monomial canonical
+    if _increasing(word) and _increasing(places):
+        return LetterplaceElement._trusted(dict(products), m)
     return LetterplaceElement._trusted(_sum_products(products), m)
+
+
+def _increasing(seq: tuple) -> bool:
+    return all(a < b for a, b in zip(seq, seq[1:]))
 
 
 def biproduct_expand(b: Biproduct, m: int) -> LetterplaceElement:

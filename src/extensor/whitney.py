@@ -30,11 +30,12 @@ from .bitableau import BitableauElement, standard_expansion
 # re-exported: the benchmark tests look it up as whitney.straighten
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
-from .letterplace import (LetterplaceElement, _graded_components,
-                          _letter_pattern, _renamed, _shared_echelon,
-                          _sum_products, _var_key, expand_raw, phi)
+from .letterplace import (LetterplaceElement, _expand_biproduct,
+                          _graded_components, _letter_pattern, _merge_monomials,
+                          _renamed, _shared_echelon, _var_key, phi)
 from .tensor_power import TensorPowerElement
-from .words import word_slices
+from .tensorops import _sum_terms
+from .words import merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -332,7 +333,9 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
                          dependent: tuple) -> linalg.SparseEchelon:
     """The echelon of an ideal component, spanned by the monomial
     multiples of the biproducts of its dependent words: the subsets of
-    its sorted letters at the ``dependent`` index tuples."""
+    its sorted letters at the ``dependent`` index tuples.  Each such
+    word is sorted and each generator degree sums to its length, so the
+    generators come straight from the biproduct expansion."""
     pdeg = dict(pdeg_t)
     content = dict(content_t)
     letters = [x for x, _ in content_t]
@@ -347,16 +350,16 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
                                for p in range(1, m + 1))):
             if sum(comp) != size:
                 continue
-            gen_deg = {p + 1: q for p, q in enumerate(comp) if q}
-            gen = expand_raw(wset, gen_deg, m)
-            if not gen:
-                continue
-            rest_pdeg = {p: pdeg.get(p, 0) - gen_deg.get(p, 0)
-                         for p in range(1, m + 1)}
+            gen_deg = tuple((p + 1, q) for p, q in enumerate(comp) if q)
+            gen = _expand_biproduct(wset, gen_deg, m).terms.items()
+            rest_pdeg = {p: pdeg.get(p, 0) - q for p, q in enumerate(comp, start=1)}
             for mono in _monomials_with(rest_content, rest_pdeg, m):
-                mult = LetterplaceElement(m, {mono: 1}) * gen
+                # a product with one monomial maps distinct terms to
+                # distinct terms, so nothing is summed and nothing cancels
+                mult = {prod: s * c for g, c in gen
+                        for s, prod in [_merge_monomials(mono, g)] if s}
                 if mult:
-                    echelon.insert(mult.terms)
+                    echelon.insert(mult)
     return echelon
 
 
@@ -397,6 +400,9 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
     With k the corank of the union, the left side sums u v2 in the
     first place against v1 in the second over the (k, q-k) slices of v;
     the right side sums u1 v against u2 over the (p-k, k) slices of u.
+    Both sides are alternating in the letters of u and of v, so u and v
+    are sorted once, with their signs; each place-1 word is then one
+    merge of sorted words and each place-2 word a slice of a sorted one.
     """
     u, v = tuple(u), tuple(v)
     for word in (u, v):
@@ -404,11 +410,21 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
             raise ValueError(f"word {''.join(word)} is not independent")
     p, q = len(u), len(v)
     k = p + q - matroid.rank(set(u) | set(v))
-    lhs = _sum_products(([(x, 1) for x in u + v2] + [(x, 2) for x in v1], sign)
-                        for sign, (v1, v2) in word_slices(v, (k, q - k)))
-    rhs = _sum_products(([(x, 1) for x in u1 + v] + [(x, 2) for x in u2], sign)
-                        for sign, (u1, u2) in word_slices(u, (p - k, k)))
+    su, u = sort_word(u)
+    sv, v = sort_word(v)
+    sign_uv = su * sv
+    lhs = _sum_terms((_two_places(one, v1), sign_uv * sign * s)
+                     for sign, (v1, v2) in word_slices(v, (k, q - k))
+                     for s, one in [merge_words(u, v2)] if s)
+    rhs = _sum_terms((_two_places(one, u2), sign_uv * sign * s)
+                     for sign, (u1, u2) in word_slices(u, (p - k, k))
+                     for s, one in [merge_words(u1, v)] if s)
     return LetterplaceElement._trusted(lhs, 2), LetterplaceElement._trusted(rhs, 2)
+
+
+def _two_places(one: tuple, two: tuple) -> tuple:
+    """The canonical monomial of sorted words in places 1 and 2."""
+    return tuple((x, 1) for x in one) + tuple((x, 2) for x in two)
 
 
 def exchange_check(u: Sequence[str], v: Sequence[str], matroid: Matroid) -> bool:

@@ -25,6 +25,16 @@ def ev(text, env=ENV3):
     return evaluate_text(text, env)
 
 
+def assert_non_finite_named_as_json(text: str, err: str):
+    """A document with a non-finite number is refused with the number as
+    the JSON text spells it, never as Python's float repr."""
+    for token in ("-Infinity", "Infinity", "NaN"):
+        if token in text:
+            assert err == f"error: {token} is not a finite number\n"
+            break
+    assert "'inf'" not in err and "'nan'" not in err
+
+
 class TestParser:
     def test_precedence_meet_over_wedge(self):
         node = parse("p1 ^ p2 & q1 ^ q2")
@@ -301,6 +311,18 @@ class TestCommands:
                      "--max-degree", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("check, option", [("exchange", "--max-word"),
+                                               ("polarization", "--max-degree")])
+    def test_sweep_limit_boundary(self, tmp_path, capsys, check, option):
+        path = tmp_path / "u32.json"
+        path.write_text(json.dumps({"kind": "uniform", "n": 3, "k": 2}))
+        assert main(["matroid", str(path), check, option, "0"]) == 0
+        assert capsys.readouterr().out == f"matroid-{check}: 0/0 passed (seed 0)\n"
+        assert main(["matroid", str(path), check, option, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be at least 0, got -1\n"
+
     @pytest.mark.parametrize(
         "case", json.loads(Path(__file__).with_name("matroid_golden.json").read_text()),
         ids=lambda case: " ".join([case["name"]] + case["args"]))
@@ -384,6 +406,8 @@ class TestCommands:
         {"kind": "linear", "columns": [[None]]},
         {"kind": "linear", "columns": [[1, 0], [0, 1]], "letters": ["a", "a"]},
         {"kind": "linear", "columns": [[float("inf"), 0], [0, 1]]},
+        {"kind": "linear", "columns": [[1, float("-inf")], [0, 1]]},
+        {"kind": "linear", "columns": [[float("nan"), 0], [0, 1]]},
         {"kind": "linear", "letters": [1, 2, 3], "columns": [[1, 0], [0, 1], [1, 1]]},
         {"kind": "uniform", "n": 3, "k": 2, "letters": ["a", "b", ["c"]]},
         {"kind": "uniform", "n": 2, "k": 1, "letters": ["a", ""]},
@@ -399,6 +423,7 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         # numbers from the document are shown as JSON, not as Python objects
         assert "Fraction(" not in captured.err
+        assert_non_finite_named_as_json(json.dumps(doc), captured.err)
 
     def test_matroid_kind_is_shown_as_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -431,6 +456,9 @@ class TestCommands:
         {"integral_scale": "x"},
         {"integral_scale": 0},
         {"integral_scale": float("inf")},
+        {"integral_scale": float("-inf")},
+        {"dim": 2, "vectors": {"p": [float("nan"), 1]}},
+        {"dim": 2, "vectors": {"p": [1, float("-inf")]}},
     ])
     def test_malformed_environment_is_one_line_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "env.json"
@@ -440,6 +468,7 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert_non_finite_named_as_json(json.dumps(doc), captured.err)
 
     def test_decimal_literals_are_exact(self, tmp_path, capsys):
         path = tmp_path / "env.json"

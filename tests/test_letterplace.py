@@ -1,14 +1,16 @@
 import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensor.letterplace import (FreeTensorElement, LetterplaceElement,
-                                  _merge_monomials, expand_raw, ft_diamond,
-                                  lp_normalize,
+from extensor.letterplace import (Biproduct, FreeTensorElement, LetterplaceElement,
+                                  _merge_monomials, _sum_products, biproduct_expand,
+                                  expand_raw, ft_diamond, lp_normalize,
                                   make_biproduct, phi, phi_inv, polarize,
                                   polarize_divided)
+from extensor.words import word_slices
 
 LETTERS = "abcde"
 
@@ -253,7 +255,6 @@ class TestPhi:
             assert phi(a * b) == phi(a) * phi(b)
 
     def test_biproduct_image_is_the_slice_sum(self):
-        from extensor.words import word_slices
         rng = random.Random(7)
         for _ in range(30):
             m = rng.randint(2, 3)
@@ -275,3 +276,78 @@ class TestPhi:
             h = rng.randint(0, 3)
             assert phi(polarize_divided(h, j, i, e)) == \
                 ft_diamond(h, j, i, phi(e))
+
+
+# -- second routes: every monomial put through lp_normalize -------------
+
+def reference_polarize(k, h, e):
+    """Each occurrence of (x|h) replaced by (x|k) in place, normalized."""
+    return LetterplaceElement(e.m, _sum_products(
+        (mono[:pos] + ((letter, k),) + mono[pos + 1:], c)
+        for mono, c in e.terms.items()
+        for pos, (letter, place) in enumerate(mono) if place == h))
+
+
+def reference_polarize_divided(h, j, i, e):
+    """Each h-subset of the place-i variables moved to place j in place,
+    normalized."""
+    if h == 0:
+        return e
+    return LetterplaceElement(e.m, _sum_products(
+        ([(x, j) if p in chosen else (x, place) for p, (x, place) in enumerate(mono)], c)
+        for mono, c in e.terms.items()
+        for chosen in combinations([p for p, (_, place) in enumerate(mono) if place == i],
+                                   h)))
+
+
+def reference_expand(word, degrees, m):
+    """The slice sum of a biproduct, each slice normalized."""
+    places = [p for p, _ in degrees]
+    return LetterplaceElement(m, _sum_products(
+        ([(x, places[t]) for t, block in enumerate(blocks) for x in block], sign)
+        for sign, blocks in word_slices(word, [q for _, q in degrees])))
+
+
+@st.composite
+def polarization_cases(draw):
+    m = draw(st.integers(2, 3))
+    e = draw(lp_sums(m))
+    i, j = draw(st.permutations(range(1, m + 1)))[:2]
+    return e, draw(st.integers(0, 4)), j, i, draw(st.integers(1, m))
+
+
+@st.composite
+def public_biproducts(draw):
+    """Biproducts built as plain tuples: words in any letter order, a
+    repeated letter now and then, places in any order."""
+    m = draw(st.integers(2, 3))
+    word = tuple(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4)))
+    places = draw(st.lists(st.integers(1, m), min_size=len(word), max_size=len(word)))
+    degrees = {p: places.count(p) for p in places}
+    order = draw(st.permutations(sorted(degrees)))
+    return Biproduct(word, tuple((p, degrees[p]) for p in order)), m
+
+
+class TestCanonicalConstructionsAgainstNormalizing:
+    @settings(max_examples=300, deadline=None)
+    @given(polarization_cases())
+    def test_polarizations(self, case):
+        e, h, j, i, k = case
+        assert polarize_divided(h, j, i, e).terms == \
+            reference_polarize_divided(h, j, i, e).terms
+        for target in (j, i):
+            assert polarize(target, k, e).terms == reference_polarize(target, k, e).terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(public_biproducts())
+    def test_biproduct_expansion_of_any_word(self, case):
+        bp, m = case
+        got = biproduct_expand(bp, m)
+        assert got.terms == reference_expand(bp.word, bp.degrees, m).terms
+        assert got == expand_raw(bp.word, bp.degrees, m)
+
+    def test_an_unsorted_multi_letter_block(self):
+        bp = Biproduct(("c", "a", "b"), ((1, 2), (2, 1)))
+        assert biproduct_expand(bp, 2).terms == reference_expand(bp.word, bp.degrees, 2).terms
+        # cab is an even permutation of abc
+        assert biproduct_expand(bp, 2) == expand_raw("abc", {1: 2, 2: 1}, 2)

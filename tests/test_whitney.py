@@ -1,18 +1,22 @@
 import random
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensor import linalg
+from extensor import bitableau, letterplace, linalg
 from extensor.bitableau import (BitableauElement, _first_violation,
                                 standard_expansion, straighten)
-from extensor.letterplace import (LetterplaceElement, _graded_components,
-                                  expand_raw, phi, polarize, polarize_divided)
+from extensor.letterplace import (Biproduct, LetterplaceElement, _graded_components,
+                                  _sum_products, biproduct_expand, expand_raw, phi,
+                                  polarize, polarize_divided)
 from extensor.tensor_power import TensorPowerElement, diamond
 from extensor.whitney import (Matroid, NotARepresentation, WhitneyElement,
+                              _build_ideal_echelon, _monomials_with,
                               check_representation, exchange_check,
                               exchange_sides, ideal_membership_bruteforce,
                               make_matroid, represent, wh_normal_form)
+from extensor.words import word_slices
 
 SIX_POINT_COLUMNS = {
     "a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1),
@@ -513,3 +517,125 @@ def test_generator_multiples_have_zero_normal_form():
                 for matroid, word in cases]
     assert all(ideal_membership_bruteforce(e.raw, e.matroid) for e in elements)
     assert [str(wh_normal_form(e)) for e in elements] == ["0", "0"]
+
+
+# -- second routes: every monomial put through lp_normalize -------------
+
+def reference_exchange_sides(u, v, matroid):
+    """Both sides as products of generators in the written order of the
+    slices of u and v, each normalized."""
+    p, q = len(u), len(v)
+    k = p + q - matroid.rank(set(u) | set(v))
+    lhs = _sum_products(([(x, 1) for x in u + v2] + [(x, 2) for x in v1], sign)
+                        for sign, (v1, v2) in word_slices(v, (k, q - k)))
+    rhs = _sum_products(([(x, 1) for x in u1 + v] + [(x, 2) for x in u2], sign)
+                        for sign, (u1, u2) in word_slices(u, (p - k, k)))
+    return LetterplaceElement(2, lhs), LetterplaceElement(2, rhs)
+
+
+def reference_ideal_echelon(pdeg_t, content_t, m, dependent):
+    """The ideal echelon of a component with every generator expanded
+    slice by slice and every monomial multiple made from generators,
+    both normalized, inserted in the order the oracle inserts them."""
+    pdeg, letters = dict(pdeg_t), [x for x, _ in content_t]
+    echelon = linalg.SparseEchelon()
+    for sub in dependent:
+        wset = tuple(letters[i] for i in sub)
+        rest_content = dict(content_t)
+        for x in wset:
+            rest_content[x] -= 1
+        for comp in iproduct(*(range(pdeg.get(p, 0) + 1) for p in range(1, m + 1))):
+            if sum(comp) != len(wset):
+                continue
+            gen = _sum_products(
+                ([(x, p) for p, block in enumerate(blocks, start=1) for x in block], sign)
+                for sign, blocks in word_slices(wset, comp))
+            rest_pdeg = {p: pdeg.get(p, 0) - q for p, q in enumerate(comp, start=1)}
+            for mono in _monomials_with(rest_content, rest_pdeg, m):
+                mult = LetterplaceElement(m, _sum_products(
+                    (mono + g, c) for g, c in gen.items()))
+                if mult:
+                    echelon.insert(mult.terms)
+    return echelon
+
+
+def reference_graded_components(e):
+    """Place degrees and letter content counted monomial by monomial."""
+    components: dict = {}
+    for mono, c in e.terms.items():
+        pdeg: dict = {}
+        content: dict = {}
+        for x, i in mono:
+            pdeg[i] = pdeg.get(i, 0) + 1
+            content[x] = content.get(x, 0) + 1
+        key = (tuple(sorted(pdeg.items())), tuple(sorted(content.items())))
+        components.setdefault(key, {})[mono] = c
+    return components
+
+
+@st.composite
+def independent_word_pairs(draw):
+    """A matroid and two of its independent words, each in any letter
+    order."""
+    matroid = draw(st.sampled_from(MATROIDS))
+    words = list(matroid.independent_sorted_words(3))
+    u, v = draw(st.sampled_from(words)), draw(st.sampled_from(words))
+    return matroid, tuple(draw(st.permutations(u))), tuple(draw(st.permutations(v)))
+
+
+class TestCanonicalConstructionsAgainstNormalizing:
+    @settings(max_examples=300, deadline=None)
+    @given(independent_word_pairs())
+    def test_exchange_sides_of_words_in_any_order(self, case):
+        matroid, u, v = case
+        got = exchange_sides(u, v, matroid)
+        want = reference_exchange_sides(u, v, matroid)
+        assert [side.terms for side in got] == [side.terms for side in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(matroid_and_elements(2))
+    def test_ideal_echelons(self, elements):
+        a, b = elements
+        matroid = a.matroid
+        for (pdeg_t, content_t), vec in _graded_components(a.raw).items():
+            letters = [x for x, _ in content_t]
+            dependent = tuple(sub for size in range(1, len(letters) + 1)
+                              for sub in combinations(range(len(letters)), size)
+                              if not matroid.is_independent(letters[i] for i in sub))
+            got = _build_ideal_echelon(pdeg_t, content_t, a.m, dependent)
+            want = reference_ideal_echelon(pdeg_t, content_t, a.m, dependent)
+            assert got.rows == want.rows
+            probes = [vec] + [v for key, v in _graded_components(b.raw).items()
+                              if key == (pdeg_t, content_t)]
+            for probe in probes:
+                assert got.reduce(probe) == want.reduce(probe)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matroid_and_elements(2))
+    def test_graded_components_keys_and_order(self, elements):
+        raw = elements[0].raw + elements[1].raw
+        assert [(key, list(vec.items())) for key, vec in _graded_components(raw).items()] \
+            == [(key, list(vec.items()))
+                for key, vec in reference_graded_components(raw).items()]
+
+
+def test_the_whitney_path_never_sorts_a_monomial(monkeypatch):
+    """Exchange checks, the oracle, the divided polarizations and the
+    biproduct expansion build canonical monomials; none of them may fall
+    back on the general re-sort, cold caches and fresh echelons
+    included."""
+    def refuse(seq):
+        raise AssertionError(f"lp_normalize called on {seq!r}")
+
+    monkeypatch.setattr(letterplace, "lp_normalize", refuse)
+    monkeypatch.setattr(bitableau, "_component_echelons", {})
+    letterplace._expand_biproduct.cache_clear()
+    matroid = six_point_matroid()
+    for u, v in (("ab", "cd"), ("bea", "fc"), ("abc", "def"), ("ce", "bf")):
+        assert exchange_check(u, v, matroid)
+    member = expand_raw("abd", {1: 2, 2: 1}, 2) + \
+        expand_raw("bcf", {1: 3}, 2) * LetterplaceElement.generator(2, "a", 2)
+    assert ideal_membership_bruteforce(member, matroid)
+    gen = expand_raw("acde", {1: 2, 2: 2}, 3)
+    assert polarize_divided(2, 3, 1, gen) == expand_raw("acde", {2: 2, 3: 2}, 3)
+    assert biproduct_expand(Biproduct(("a", "b", "e"), ((1, 1), (3, 2))), 3)
