@@ -166,11 +166,10 @@ def verify_modular(a, b, c) -> Report:
     """
     if not contains(a, c):
         raise ValueError("first extensor must divide the third")
-    sa = [list(v) for v in extensor_span(a)]
-    sb = [list(v) for v in extensor_span(b)]
-    sc = [list(v) for v in extensor_span(c)]
-    p = linalg.rank(sa + sb) - linalg.rank(sb)
-    q = linalg.rank(sb + sc) - linalg.rank(sc)
+    # each span is a basis, so only the sums need eliminating
+    sa, sb, sc = extensor_span(a), extensor_span(b), extensor_span(c)
+    p = linalg.rank(sa + sb) - len(sb)
+    q = linalg.rank(sb + sc) - len(sc)
     t = TensorPowerElement.from_elements([a, b, c])
     lhs = diamond(q, 3, 2, diamond(p, 2, 1, t))
     rhs = diamond(p, 2, 1, diamond(q, 3, 2, t))

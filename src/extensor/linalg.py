@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Dense Gauss-Jordan elimination with first-nonzero pivoting, so every
-result is deterministic and reproducible.  Matrices are lists of rows
-of rationals (ints, Fractions, or anything ``Fraction`` reads), and
-results are rows of Fractions.  :func:`rref`, which every dense routine
-goes through, eliminates fraction-free on integer rows and divides by
-the pivots only at the end.  :class:`SparseEchelon` eliminates sparse
-vectors keyed by ordered basis keys.  :func:`rational` reads the
-numbers of an input document exactly.
+:class:`SparseEchelon` is the package's one elimination routine: it
+eliminates sparse vectors keyed by totally ordered keys fraction-free,
+with the least key of a vector as its pivot.  The dense routines are
+thin wrappers over it.  A matrix is a list of rows of rationals (ints,
+Fractions, or anything ``Fraction`` reads), its columns are the keys,
+and results are rows of Fractions; first-nonzero pivoting makes every
+result deterministic.  :func:`rational` reads the numbers of an input
+document exactly.
 """
 
 from __future__ import annotations
@@ -45,17 +45,127 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _primitive(row: list) -> list:
-    """``row`` of ints divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _exact(q):
+    """The rational ``q`` as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
-def _integer_row(row) -> list:
-    """A primitive integer row with the same span as the rational ``row``."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    d = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (d // x.denominator) for x in row])
+def _add_multiple(vec: dict, f, other: dict) -> None:
+    """``vec += f * other`` in place, dropping the zeros."""
+    for k, v in other.items():
+        nv = vec.get(k, 0) + f * v
+        if nv:
+            vec[k] = nv
+        else:
+            del vec[k]
+
+
+class SparseEchelon:
+    """Fraction-free sparse row echelon form over the rationals.
+
+    Vectors are dicts from totally ordered keys to rationals.  ``rows``
+    maps each pivot to ``(row, combo, den)``: ``row`` is a primitive
+    integer vector with a positive coefficient at its least key, the
+    pivot, and ``den * row`` is the integer combination ``combo`` of the
+    labelled inserted vectors, plus one of the unlabelled ones, with
+    ``den`` a positive int.  A vector is scaled to integers and each
+    least key cleared by cross-multiplication with its pivot row, so it
+    is only ever multiplied by positive ints, whose product is its
+    scale.  Coordinates are added over the scale of their step and the
+    remainder is divided by the final scale, so both are exact: ints
+    where integral, else Fractions.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def _clear(self, vec: dict, coords: dict | None):
+        """``(rest, scale)``: ``rest`` is the integer vector left of
+        ``scale * vec`` once its least key is not a pivot, and ``vec`` is
+        ``rest / scale`` plus the combination of labelled vectors added
+        to ``coords`` (plus unlabelled ones)."""
+        rest = {k: v for k, v in vec.items() if v}
+        scale = 1
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if type(sum(rest.values())) is not int:
+            scale = lcm(*[v.denominator for v in rest.values()])
+            rest = {k: v.numerator * (scale // v.denominator) for k, v in rest.items()}
+        while rest and (hit := self.rows.get(lead := min(rest))):
+            row, combo, den = hit
+            # p rest - f den row with p rest[lead] == f den row[lead] clears
+            # the pivot; f combo / scale, at the new scale, goes to coords
+            p, f = den * row[lead], rest[lead]
+            if p != 1:
+                g = gcd(f, p)
+                p, f = p // g, f // g
+                scale *= p
+                rest = {k: p * v for k, v in rest.items()}
+            _add_multiple(rest, -f * den, row)
+            if coords is not None:
+                _add_multiple(coords, f if scale == 1 else Fraction(f, scale), combo)
+        return rest, scale
+
+    def reduce(self, vec: dict, coords: dict | None = None) -> dict:
+        """What is left of ``vec`` after clearing every pivot it reaches.
+
+        Stops at the first least key that is not a pivot; the result is
+        empty exactly when ``vec`` lies in the span.  When ``coords`` is
+        given, the labelled vectors subtracted along the way are added
+        to it, so that ``vec`` equals the result plus the combination
+        ``coords`` of labelled vectors (plus unlabelled ones).
+        """
+        rest, scale = self._clear(vec, coords)
+        if scale == 1:
+            return rest
+        if coords is not None:
+            coords.update({k: _exact(v) for k, v in coords.items()})
+        return {k: _exact(Fraction(v, scale)) for k, v in rest.items()}
+
+    def insert(self, vec: dict, label=None) -> bool:
+        """Reduce ``vec`` and store the remainder as a new row.
+
+        Returns False, storing nothing, when ``vec`` lies in the span.
+        """
+        coords: dict = {}
+        rest, scale = self._clear(vec, coords)
+        if not rest:
+            return False
+        lead = min(rest)
+        # h row == rest == scale (vec - coords) is the combination combo
+        combo = {} if label is None else {label: scale}
+        for k, v in coords.items():
+            combo[k] = combo.get(k, 0) - int(scale * v)
+        sign = 1 if rest[lead] > 0 else -1
+        h = sign * gcd(*rest.values())
+        g = sign * gcd(h, *combo.values())
+        self.rows[lead] = ({k: v // h for k, v in rest.items()},
+                           {k: v // g for k, v in combo.items() if v}, h // g)
+        return True
+
+    def reduced(self) -> dict:
+        """The reduced row echelon form as ``{pivot: row}`` in increasing
+        pivot order: each row primitive with a positive pivot and zero at
+        every other pivot.  Divided by its pivot coefficient, each row is
+        the row of the unique reduced form of the span."""
+        done: dict = {}
+        for lead in sorted(self.rows, reverse=True):
+            row = self.rows[lead][0]
+            for q in [k for k in row if k in done]:
+                g = gcd(row[q], done[q][q])
+                a, p = row[q] // g, done[q][q] // g
+                row = {k: p * v for k, v in row.items()}
+                _add_multiple(row, -a, done[q])
+            h = gcd(*row.values())
+            done[lead] = {k: v // h for k, v in row.items()}
+        return dict(sorted(done.items()))
+
+
+def _sparse(row) -> dict:
+    """The dense ``row`` of rationals as a vector keyed by column."""
+    return {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
+            for j, x in enumerate(row)}
 
 
 def rref(rows):
@@ -63,40 +173,21 @@ def rref(rows):
 
     Returns ``(reduced, pivots)`` where ``reduced`` holds only the
     nonzero rows, as lists of Fractions, and ``pivots`` the pivot column
-    of each.  Each row is scaled to a primitive integer row; a pivot
-    clears its column from another row by cross-multiplication, and the
-    result is made primitive again.  Scaling a row changes neither the
-    pivots nor the reduced form, which is unique, so dividing each pivot
-    row by its pivot at the end gives what ``Fraction`` elimination
-    gives.
+    of each: the echelon's reduced form divided by its pivots.
     """
-    mat = [_integer_row(row) for row in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [[Fraction(x, row[c]) for x in row]
-            for row, c in zip(mat, pivots)], pivots
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.insert(_sparse(row))
+    reduced = echelon.reduced()
+    return [[Fraction(row.get(j, 0), row[c]) for j in range(len(rows[0]))]
+            for c, row in reduced.items()], list(reduced)
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    echelon = SparseEchelon()
+    return sum(echelon.insert(_sparse(row)) for row in rows)
 
 
 def nullspace(rows, ncols):
@@ -129,21 +220,20 @@ def solve_combination(rows, target):
     """Coefficients expressing ``target`` as a combination of ``rows``.
 
     Returns None when the target is outside the span.  With dependent
-    rows the solution is the deterministic one with free coefficients
-    set to zero.
+    rows the solution is the deterministic one that uses only the rows
+    independent of the rows before them, the others at zero.
     """
     target = [Fraction(t) for t in target]
     if not rows:
         return [] if not any(target) else None
-    k = len(rows)
-    n = len(rows[0])
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [target[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    if k in pivots:
+    echelon = SparseEchelon()
+    for j, row in enumerate(rows):
+        echelon.insert(_sparse(row), label=j)
+    coords: dict = {}
+    if echelon.reduce(_sparse(target), coords):
         return None
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(red, pivots):
-        coeffs[p] = row[k]
+    k, n = len(rows), len(rows[0])
+    coeffs = [Fraction(coords.get(j, 0)) for j in range(k)]
     check = [sum(coeffs[j] * rows[j][i] for j in range(k)) for i in range(n)]
     return coeffs if check == target else None
 
@@ -156,80 +246,17 @@ def rank_factorization(mat):
 
 
 def intersect_spans(rows_a, rows_b, ncols):
-    """Basis of the intersection of two row spans."""
+    """Basis of the intersection of two row spans, in reduced form
+    (Zassenhaus): the vectors of the span of the rows ``(a | a)`` and
+    ``(b | 0)`` with a zero first half are the ``(0 | x)`` with ``x`` in
+    both spans, and the reduced rows with a second-half pivot span them.
+    """
     if not rows_a or not rows_b:
         return []
-    stack = [list(map(Fraction, r)) for r in rows_a] + \
-            [list(map(Fraction, r)) for r in rows_b]
-    transposed = [[stack[i][j] for i in range(len(stack))] for j in range(ncols)]
-    inter = []
-    for coeffs in nullspace(transposed, len(stack)):
-        vec = [sum(coeffs[i] * Fraction(rows_a[i][j]) for i in range(len(rows_a)))
-               for j in range(ncols)]
-        if any(vec):
-            inter.append(vec)
-    red, _ = rref(inter)
-    return red
-
-
-class SparseEchelon:
-    """Sparse row echelon form over the rationals.
-
-    Vectors are dicts from totally ordered keys to coefficients.  Each
-    stored row is scaled to 1 at its pivot, its least key, and carries
-    its combination: a dict from the labels of inserted vectors to the
-    coefficients that give the row.  Elimination always clears the least
-    key of the vector first.  Integral coefficients are stored as ints,
-    so integer input with unit pivots never leaves integer arithmetic.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    def reduce(self, vec: dict, coords: dict | None = None) -> dict:
-        """What is left of ``vec`` after clearing every pivot it reaches.
-
-        Stops at the first least key that is not a pivot; the result is
-        empty exactly when ``vec`` lies in the span.  When ``coords`` is
-        given, the labelled vectors subtracted along the way are added
-        to it, so that ``vec`` equals the result plus the combination
-        ``coords`` of labelled vectors.
-        """
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            lead = min(vec)
-            hit = self.rows.get(lead)
-            if hit is None:
-                break
-            row, combo = hit
-            factor = vec[lead]
-            for k, v in row.items():
-                nv = vec.get(k, 0) - factor * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    del vec[k]
-            if coords is not None:
-                for k, v in combo.items():
-                    coords[k] = coords.get(k, 0) + factor * v
-        return vec
-
-    def insert(self, vec: dict, label=None) -> bool:
-        """Reduce ``vec`` and store the remainder as a new row.
-
-        Returns False, storing nothing, when ``vec`` lies in the span.
-        """
-        coords: dict = {}
-        rest = self.reduce(vec, coords)
-        if not rest:
-            return False
-        lead = min(rest)
-        scale = Fraction(rest[lead])
-        combo = {} if label is None else {label: 1}
-        combo.update((k, -v) for k, v in coords.items())
-        self.rows[lead] = tuple(
-            {k: q.numerator if (q := v / scale).denominator == 1 else q
-             for k, v in part.items()} for part in (rest, combo))
-        return True
+    echelon = SparseEchelon()
+    for row in rows_a:
+        echelon.insert({(h, j): x for j, x in _sparse(row).items() for h in (0, 1)})
+    for row in rows_b:
+        echelon.insert({(0, j): x for j, x in _sparse(row).items()})
+    return [[Fraction(row.get((1, j), 0), row[p]) for j in range(ncols)]
+            for p, row in echelon.reduced().items() if p[0] == 1]

@@ -16,24 +16,16 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .exterior import ExteriorElement, Word, as_vector, make_extensor
+from .exterior import ExteriorElement, as_vector, make_extensor
 from .tensor_power import TensorPowerElement, _rank_factor_pairs, diamond
 from .words import inversions
 
 
-def _word_basis(elements: Sequence[ExteriorElement]) -> list[Word]:
-    return sorted({w for e in elements for w in e.num}, key=lambda w: (len(w), w))
-
-
-def _coeff_rows(elements: Sequence[ExteriorElement], words: Sequence[Word]):
-    return [[t.get(w, Fraction(0)) for w in words] for t in (e.terms for e in elements)]
-
-
 def in_span(x: ExteriorElement, elements: Sequence[ExteriorElement]) -> bool:
-    words = _word_basis(list(elements) + [x])
-    rows = _coeff_rows(elements, words)
-    (target,) = _coeff_rows([x], words)
-    return linalg.solve_combination(rows, target) is not None
+    echelon = linalg.SparseEchelon()
+    for e in elements:
+        echelon.insert(e.num)
+    return not echelon.reduce(x.num)
 
 
 @dataclass(frozen=True)
@@ -110,14 +102,11 @@ def dagger_representation(a_vectors: Sequence, b_vectors: Sequence,
     b = make_extensor(bvecs, dim)
     if not a or not b:
         raise ValueError("dependent factor vectors give the zero extensor")
-    inter = [tuple(v) for v in linalg.intersect_spans(
-        [list(v) for v in avecs], [list(v) for v in bvecs], dim)]
-    prime: list = []
-    rows = [list(v) for v in inter]
-    for v in avecs:
-        if linalg.rank(rows + [list(v)]) > len(rows):
-            prime.append(v)
-            rows.append(list(v))
+    inter = [tuple(v) for v in linalg.intersect_spans(avecs, bvecs, dim)]
+    echelon = linalg.SparseEchelon()
+    for v in inter:
+        echelon.insert(dict(enumerate(v)))
+    prime = [v for v in avecs if echelon.insert(dict(enumerate(v)))]
     w = make_extensor(list(inter) + prime, dim)
     lead = min(a.num, key=lambda x: (len(x), x))
     lam = Fraction(a.num[lead] * w.den, a.den * w.num[lead])
@@ -138,25 +127,27 @@ def dagger_representation(a_vectors: Sequence, b_vectors: Sequence,
 
 
 class GeneralizedHodge:
-    """The linear operator left_i -> right_i of a minimal representation."""
+    """The linear operator left_i -> right_i of a minimal representation,
+    one reduction against the echelon of the left numerators a call."""
 
     def __init__(self, rep: MinimalRepresentation):
         if not rep.pairs:
             raise ValueError("empty representation has no operator")
         self._rep = rep
-        self._words = _word_basis(rep.lefts)
-        self._rows = _coeff_rows(rep.lefts, self._words)
-        if linalg.rank(self._rows) != rep.rank:
+        self._echelon = linalg.SparseEchelon()
+        if not all(self._echelon.insert(left.num, label=i)
+                   for i, left in enumerate(rep.lefts)):
             raise ValueError("left family is dependent")
 
     def __call__(self, x: ExteriorElement) -> ExteriorElement:
-        if any(w not in self._words for w in x.num):
+        coords: dict = {}
+        if self._echelon.reduce(x.num, coords):
             raise ValueError("element outside the left span")
-        (target,) = _coeff_rows([x], self._words)
-        coeffs = linalg.solve_combination(self._rows, target)
-        if coeffs is None:
-            raise ValueError("element outside the left span")
-        return ExteriorElement._sum(zip(self._rep.rights, coeffs), self._rep.dim)
+        # x.num is the combination coords of the left_i.num
+        return ExteriorElement._sum(
+            ((right, coords.get(i, 0) * left.den)
+             for i, (left, right) in enumerate(self._rep.pairs)),
+            self._rep.dim, den=x.den)
 
 
 def generalized_hodge(rep: MinimalRepresentation) -> GeneralizedHodge:

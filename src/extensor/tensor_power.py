@@ -114,17 +114,22 @@ def contains(a: ExteriorElement, b: ExteriorElement) -> bool:
 
 def _rank_factor_pairs(t: TensorPowerElement):
     """Pairs ``(left_i, right_i)`` with ``sum(left_i (x) right_i) == t``,
-    one per rank of the coefficient matrix of the two-fold tensor."""
+    one per rank of the coefficient matrix of the two-fold tensor: the
+    rank factorization of its numerators, each reduced row over the
+    right words (shorter first) divided by its pivot on the right, and
+    the pivot column over the denominator on the left."""
     lwords = sorted({k[0] for k in t.num}, key=lambda w: (len(w), w))
-    rwords = sorted({k[1] for k in t.num}, key=lambda w: (len(w), w))
-    # the numerators: the left factors carry the denominator
-    mat = [[t.num.get((lw, rw), 0) for rw in rwords] for lw in lwords]
-    cols, rows = linalg.rank_factorization(mat)
-    return [(ExteriorElement._from_fractions(
-                 {lw: cols[j][i] / t.den for j, lw in enumerate(lwords)}, t.dim),
-             ExteriorElement._from_fractions(
-                 {rw: rows[i][j] for j, rw in enumerate(rwords)}, t.dim))
-            for i in range(len(rows))]
+    rows: dict = {lw: {} for lw in lwords}
+    for (lw, rw), n in t.num.items():
+        rows[lw][len(rw), rw] = n
+    echelon = linalg.SparseEchelon()
+    for row in rows.values():
+        echelon.insert(row)
+    return [(ExteriorElement._trusted({lw: row[p] for lw, row in rows.items() if p in row},
+                                      t.den, t.dim),
+             ExteriorElement._trusted({rw: n for (_, rw), n in sorted(red.items())},
+                                      red[p], t.dim))
+            for p, red in echelon.reduced().items()]
 
 
 def _rank_one_factors(t: TensorPowerElement):
@@ -150,7 +155,7 @@ def meet_join_factor(a: ExteriorElement, b: ExteriorElement):
         raise ValueError("zero extensor")
     sa = extensor_span(a)
     sb = extensor_span(b)
-    p = linalg.rank([list(v) for v in sa + sb]) - len(sb)
+    p = linalg.rank(sa + sb) - len(sb)
     t = diamond(p, 2, 1, TensorPowerElement.from_elements([a, b]))
     c, d = _rank_one_factors(t)
     if TensorPowerElement.from_elements([c, d]) != t:

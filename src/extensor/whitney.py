@@ -23,6 +23,7 @@ from itertools import combinations, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 import json
+import operator
 import random
 
 from . import linalg
@@ -228,22 +229,27 @@ class WhitneyElement:
     def is_zero(self) -> bool:
         return not self.normal_form()
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        if not isinstance(other, WhitneyElement):
+            return NotImplemented
         if self.matroid is not other.matroid:
             raise ValueError("elements of different Whitney algebras")
-        return WhitneyElement(self.matroid, self.raw + other.raw)
+        return WhitneyElement(self.matroid, op(self.raw, other.raw))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if self.matroid is not other.matroid:
-            raise ValueError("elements of different Whitney algebras")
-        return WhitneyElement(self.matroid, self.raw - other.raw)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return WhitneyElement(self.matroid, self.raw.scale(other))
-        if self.matroid is not other.matroid:
-            raise ValueError("elements of different Whitney algebras")
-        return WhitneyElement(self.matroid, self.raw * other.raw)
+        return self._combine(other, operator.mul)
+
+    # Python calls this only when the left operand is not a WhitneyElement,
+    # so the product is a scaling by an int or refused
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, WhitneyElement)

@@ -5,10 +5,13 @@ The reference below is the elimination written entry by entry over
 below.  Every public routine of :mod:`extensor.linalg` must give exactly
 its results, entry types included, on random rational matrices with
 dependent rows, zero rows and zero columns, and on the empty and 1 x 1
-shapes.
+shapes.  ``SparseEchelon``, which every routine eliminates through, is
+checked against it on labelled integer and rational vectors: what it
+stores, what ``insert`` and ``reduce`` answer, and its reduced form.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,3 +198,97 @@ def test_fixed_shapes():
     # entries may be ints, Fractions or strings such as "1/2"
     rows = [[1, "1/2", Fraction(2, 3)], ["3", 0, "-1/3"]]
     assert typed(linalg.rref(rows)) == typed(ref_rref(rows))
+
+
+# -- the echelon itself --------------------------------------------------
+
+def dense(vec, ncols):
+    return [Fraction(vec.get(j, 0)) for j in range(ncols)]
+
+
+@st.composite
+def labelled_vectors(draw):
+    """Sparse vectors on column keys, random or combinations of earlier
+    ones, with integer entries (non-unit pivots, as on the letterplace
+    side) or rational ones."""
+    ncols = draw(st.integers(1, 6))
+    pick = st.integers(-6, 6) if draw(st.booleans()) else entries
+    vecs = []
+    for _ in range(draw(st.integers(0, 7))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            s, t = draw(pick), draw(pick)
+            vec = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in range(ncols)}
+        else:
+            vec = dict(enumerate(draw(st.lists(pick, min_size=ncols, max_size=ncols))))
+        vecs.append({j: x for j, x in vec.items() if x})
+    probe = dict(enumerate(draw(st.lists(pick, min_size=ncols, max_size=ncols))))
+    weights = draw(st.lists(pick, min_size=len(vecs), max_size=len(vecs)))
+    inside = {j: sum((w * v.get(j, 0) for w, v in zip(weights, vecs)), 0)
+              for j in range(ncols)}
+    return ncols, vecs, [probe, inside, {}]
+
+
+def exact(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_vectors())
+def test_sparse_echelon_against_the_reference(case):
+    ncols, vecs, probes = case
+    echelon = linalg.SparseEchelon()
+    for i, vec in enumerate(vecs):
+        grows = len(ref_rref([dense(v, ncols) for v in vecs[:i + 1]])[0]) > \
+            len(ref_rref([dense(v, ncols) for v in vecs[:i]])[0])
+        assert echelon.insert(vec, label=i) == grows
+    # each row: primitive ints with a positive pivot at its least key, and
+    # den * row the combination combo of the inserted vectors
+    for lead, (row, combo, den) in echelon.rows.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(x) is int for x in [*row.values(), *combo.values(), den])
+        assert den > 0 and gcd(*row.values()) == 1
+        assert [den * x for x in dense(row, ncols)] == \
+            [sum(c * Fraction(vecs[l].get(j, 0)) for l, c in combo.items())
+             for j in range(ncols)]
+    rank = len(ref_rref([dense(v, ncols) for v in vecs])[0])
+    for vec in probes:
+        coords: dict = {}
+        rest = echelon.reduce(vec, coords)
+        inside = len(ref_rref([dense(v, ncols) for v in vecs + [vec]])[0]) == rank
+        assert (not rest) == inside
+        assert all(map(exact, [*rest.values(), *coords.values()]))
+        assert dense(vec, ncols) == [
+            rest.get(j, 0) + sum(c * vecs[l].get(j, 0) for l, c in coords.items())
+            for j in range(ncols)]
+    reduced = echelon.reduced()
+    assert list(reduced) == sorted(echelon.rows)
+    assert all(row[p] > 0 and gcd(*row.values()) == 1 for p, row in reduced.items())
+    assert typed(([[Fraction(row.get(j, 0), row[p]) for j in range(ncols)]
+                   for p, row in reduced.items()], list(reduced))) == \
+        typed(ref_rref([dense(v, ncols) for v in vecs]))
+
+
+@pytest.mark.parametrize("name,args", [
+    ("rref", ([[1, 2], [3, 4]],)),
+    ("rank", ([[1, 2], [3, 4]],)),
+    ("nullspace", ([[1, 2]], 2)),
+    ("invert", ([[1, 2], [3, 4]],)),
+    ("solve_combination", ([[1, 2], [3, 4]], [4, 6])),
+    ("rank_factorization", ([[1, 2], [2, 4]],)),
+    ("intersect_spans", ([[1, 0], [0, 1]], [[1, 1]], 2)),
+])
+def test_every_routine_eliminates_through_the_echelon(name, args, monkeypatch):
+    """No dense routine keeps an elimination loop of its own."""
+    built = []
+
+    class Counted(linalg.SparseEchelon):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(linalg, "SparseEchelon", Counted)
+    getattr(linalg, name)(*args)
+    assert built

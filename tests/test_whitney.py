@@ -4,7 +4,7 @@ from itertools import combinations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensor import bitableau, letterplace, linalg
+from extensor import bitableau, letterplace, linalg, whitney
 from extensor.bitableau import (BitableauElement, _first_violation,
                                 standard_expansion, straighten)
 from extensor.letterplace import (Biproduct, LetterplaceElement, _graded_components,
@@ -116,6 +116,19 @@ class TestNormalForm:
         m = Matroid.uniform(3, 2)
         with pytest.raises(ValueError):
             WhitneyElement(m, LetterplaceElement.generator(2, "z", 1))
+
+    def test_arithmetic_with_foreign_operands(self):
+        m = Matroid.uniform(3, 2)
+        e = LetterplaceElement.from_vars(2, [("a", 1), ("b", 2)])
+        x = WhitneyElement(m, e)
+        for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+                   lambda: x * 1.5, lambda: 1.5 * x, lambda: x * "a",
+                   lambda: "a" * x, lambda: x + e, lambda: x * e):
+            with pytest.raises(TypeError):
+                op()
+        # ints scale from either side
+        assert (2 * x).raw == (x * 2).raw == e.scale(2)
+        assert (-1 * x).raw == -e
 
 
 class TestIdealOracle:
@@ -406,17 +419,17 @@ def fresh_copy(matroid):
 
 @pytest.fixture
 def echelon_builds(monkeypatch):
-    """Every SparseEchelon created while the test runs."""
+    """Every ideal component echelon built while the test runs.  The
+    builder is counted, not every SparseEchelon: a linear matroid's rank
+    oracle eliminates in one of its own."""
     built = []
+    build = whitney._build_ideal_echelon
 
-    class Counted(linalg.SparseEchelon):
-        __slots__ = ()
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
 
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    monkeypatch.setattr(linalg, "SparseEchelon", Counted)
+    monkeypatch.setattr(whitney, "_build_ideal_echelon", counted)
     return built
 
 
