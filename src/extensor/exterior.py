@@ -11,6 +11,10 @@ operations are pure.
 
 The wedge, the slice and :func:`substitute` run on the numerators alone;
 word merges and slices are table lookups in :mod:`extensor.words`.
+Extensors are built fraction-free: each vector is scaled to integers
+once, the integer vectors are wedged as numerator maps, and one element
+is built at the end.  :func:`extensor_span` hands the integer
+numerators of ``e_i ^ a`` to :func:`extensor.linalg.nullspace`.
 """
 
 from __future__ import annotations
@@ -149,21 +153,34 @@ def _wedge_terms(a: dict, b: dict) -> dict:
 def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
     """Expand the wedge of coordinate vectors in the canonical basis.
 
-    Dependent vectors give the zero element.
+    Every vector must have length ``dim``.  Dependent vectors give the
+    zero element.  Each vector is scaled to integers by the least common
+    multiple of its denominators, the integer vectors are wedged, and
+    the product of the scales is the denominator of the one element
+    built.
     """
     vecs = [as_vector(v) for v in vectors]
     if dim is None:
         if not vecs:
             raise ValueError("ambient dimension needed for an empty wedge")
         dim = len(vecs[0])
-    out = ExteriorElement.unit(dim)
+    if dim < 0:
+        raise ValueError("dimension must be nonnegative")
     for v in vecs:
         if len(v) != dim:
             raise DimensionMismatch(f"vector of length {len(v)} in dimension {dim}")
-        out = out.wedge(ExteriorElement.from_vector(v))
-        if not out:
+    num: dict = {(): 1}
+    den = 1
+    for v in vecs:
+        scale = lcm(*(c.denominator for c in v))
+        num = _wedge_terms(num, {(i,): c.numerator * (scale // c.denominator)
+                                 for i, c in enumerate(v, start=1) if c})
+        if 0 in num.values():
+            num = {w: n for w, n in num.items() if n}
+        if not num:
             break
-    return out
+        den *= scale
+    return ExteriorElement._trusted(num, den, dim)
 
 
 def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> ExteriorElement:
@@ -207,10 +224,8 @@ def extensor_span(a: ExteriorElement) -> list[Vector]:
     if not a:
         raise ValueError("zero element has no span")
     n = a.dim
-    images = [ExteriorElement._trusted({(i,): 1}, 1, n).wedge(a)
-              for i in range(1, n + 1)]
-    out_words = sorted({w for img in images for w in img.num})
-    # the images' numerators over a.den: the coefficients times a.den
-    rows = [[img.num.get(w, 0) * (a.den // img.den) for img in images]
-            for w in out_words]
+    # the numerators of e_i ^ a over a.den; one word each, so none cancels
+    images = [_wedge_terms({(i,): 1}, a.num) for i in range(1, n + 1)]
+    out_words = sorted({w for img in images for w in img})
+    rows = [[img.get(w, 0) for img in images] for w in out_words]
     return [tuple(v) for v in linalg.nullspace(rows, n)]

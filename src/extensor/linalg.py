@@ -168,6 +168,14 @@ def _sparse(row) -> dict:
             for j, x in enumerate(row)}
 
 
+def _reduced(rows) -> dict:
+    """The echelon's reduced form of the dense ``rows``."""
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.insert(_sparse(row))
+    return echelon.reduced()
+
+
 def rref(rows):
     """Reduced row echelon form.
 
@@ -177,10 +185,7 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    echelon = SparseEchelon()
-    for row in rows:
-        echelon.insert(_sparse(row))
-    reduced = echelon.reduced()
+    reduced = _reduced(rows)
     return [[Fraction(row.get(j, 0), row[c]) for j in range(len(rows[0]))]
             for c, row in reduced.items()], list(reduced)
 
@@ -191,17 +196,17 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix with the given rows."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
+    """Basis of the right nullspace of the matrix with the given rows,
+    one vector per free column, read off the reduced form."""
+    reduced = _reduced(rows)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in reduced:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[free]
+        for p, row in reduced.items():
+            vec[p] = Fraction(-row.get(free, 0), row[p])
         basis.append(vec)
     return basis
 
@@ -209,40 +214,12 @@ def nullspace(rows, ncols):
 def invert(mat):
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    reduced = _reduced(list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(mat))
+    if list(reduced)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
-
-
-def solve_combination(rows, target):
-    """Coefficients expressing ``target`` as a combination of ``rows``.
-
-    Returns None when the target is outside the span.  With dependent
-    rows the solution is the deterministic one that uses only the rows
-    independent of the rows before them, the others at zero.
-    """
-    target = [Fraction(t) for t in target]
-    if not rows:
-        return [] if not any(target) else None
-    echelon = SparseEchelon()
-    for j, row in enumerate(rows):
-        echelon.insert(_sparse(row), label=j)
-    coords: dict = {}
-    if echelon.reduce(_sparse(target), coords):
-        return None
-    k, n = len(rows), len(rows[0])
-    coeffs = [Fraction(coords.get(j, 0)) for j in range(k)]
-    check = [sum(coeffs[j] * rows[j][i] for j in range(k)) for i in range(n)]
-    return coeffs if check == target else None
-
-
-def rank_factorization(mat):
-    """Factor ``mat = C @ R`` with C the pivot columns and R the rref rows."""
-    red, pivots = rref(mat)
-    cols = [[Fraction(row[p]) for p in pivots] for row in mat]
-    return cols, red
+    return [[Fraction(row.get(j, 0), row[p]) for j in range(n, 2 * n)]
+            for p, row in list(reduced.items())[:n]]
 
 
 def intersect_spans(rows_a, rows_b, ncols):

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .exterior import ExteriorElement, as_vector, make_extensor
+from .exterior import DimensionMismatch, ExteriorElement, as_vector, make_extensor
 from .tensor_power import TensorPowerElement, _rank_factor_pairs, diamond
+from .tensorops import outer_sum_terms
 from .words import inversions
 
 
@@ -48,9 +50,14 @@ class MinimalRepresentation:
         return [r for _, r in self.pairs]
 
     def tensor(self) -> TensorPowerElement:
-        return TensorPowerElement._sum(
-            ((TensorPowerElement.from_elements(pair), 1) for pair in self.pairs),
-            self.dim, 2)
+        """sum(left_i (x) right_i), summed on the pairs' numerators."""
+        if any(x.dim != self.dim for pair in self.pairs for x in pair):
+            raise DimensionMismatch("pair of another dimension")
+        dens = [left.den * right.den for left, right in self.pairs]
+        common = lcm(*dens)
+        return TensorPowerElement._trusted(outer_sum_terms(
+            (common // d, [left.num, right.num])
+            for (left, right), d in zip(self.pairs, dens)), common, self.dim, 2)
 
 
 def minimal_representation(t: TensorPowerElement) -> MinimalRepresentation:

@@ -13,6 +13,7 @@ they compute.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from . import linalg, tensorops
@@ -61,15 +62,13 @@ class TensorPowerElement(RationalTerms):
         if not factors:
             raise ValueError("need at least one fold")
         dim = factors[0].dim
-        terms: dict[tuple[Word, ...], int] = {(): 1}
         d = 1
         for f in factors:
             if f.dim != dim:
                 raise DimensionMismatch("mixed dimensions in tensor factors")
-            terms = {key + (w,): c * n
-                     for key, c in terms.items() for w, n in f.num.items()}
             d *= f.den
-        return cls._trusted(terms, d, dim, len(factors))
+        return cls._trusted(tensorops.outer_sum_terms([(1, [f.num for f in factors])]),
+                            d, dim, len(factors))
 
     def __mul__(self, other):
         if isinstance(other, TensorPowerElement):
@@ -79,11 +78,26 @@ class TensorPowerElement(RationalTerms):
     # -- helpers -----------------------------------------------------
 
     def map_folds(self, fn) -> "TensorPowerElement":
-        """Apply a linear map to every fold and expand the products."""
-        return TensorPowerElement._sum(
-            ((TensorPowerElement.from_elements(
-                [fn(ExteriorElement._trusted({w: 1}, 1, self.dim)) for w in key]), n)
-             for key, n in self.num.items()), self.dim, self.m, den=self.den)
+        """Apply a linear map to every fold and expand the products.
+
+        ``fn`` must be linear and pure: it is called once per distinct
+        word of the element's keys, on the basis element of that word,
+        and each key's product is built on the images' numerators.
+        """
+        images: dict = {}
+        for key in self.num:
+            for w in key:
+                if w not in images:
+                    x = fn(ExteriorElement._trusted({w: 1}, 1, self.dim))
+                    if x.dim != self.dim:
+                        raise DimensionMismatch(f"dim {self.dim} and {x.dim} differ")
+                    images[w] = x
+        # each key's product over the common denominator of the products
+        dens = {key: prod(images[w].den for w in key) for key in self.num}
+        common = lcm(*dens.values())
+        return self._like(tensorops.outer_sum_terms(
+            (n * (common // dens[key]), [images[w].num for w in key])
+            for key, n in self.num.items()), common * self.den)
 
 
 def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:

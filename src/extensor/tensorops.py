@@ -18,14 +18,21 @@ raising and lowering geometric products move a degree-h slice of the
 source fold into the destination fold with the Koszul sign of the folds
 crossed on the way.  Each kernel term folds its +-1 factors (Koszul,
 slice and merge signs) into one int sign and applies it once, so a term
-costs at most one coefficient product.
+costs at most one coefficient product.  The outer-product kernel sums
+pure tensors of numerator maps; the pure tensor of exterior elements,
+the tensor of a minimal representation and the fold-wise image of a
+linear map all run through it.
 
 Summation lives here too.  Every linear and bilinear map in the package
 is defined on basis keys and extended linearly; it hands its
 (key, coefficient) images to :func:`_sum_terms`, or its
 (element, coefficient) parts to the ``_sum`` of its class, and the
-trusted constructor drops the keys that cancelled.  The two kernels
-return such sums as plain dicts, for their callers' ``_like``.
+trusted constructor drops the keys that cancelled.  The kernels return
+such sums as plain dicts, for their callers' ``_like``.  The trusted
+constructor takes ownership of the dict it gets: it scans it for zeros
+once (``0 in d.values()``) and keeps it as it stands when there are none
+and no common factor to divide out, so a caller must not change a dict
+after handing it over.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ class SparseTerms:
     The public constructor of each subclass validates every key and
     coerces every coefficient.  Kernel output goes through ``_trusted``
     instead, which is never re-validated: it only drops zero
-    coefficients, so no element ever stores one.
+    coefficients, so no element ever stores one, and may keep the
+    caller's dict as its own.
     """
 
     __slots__ = ()
@@ -129,10 +137,15 @@ class IntegerTerms(SparseTerms):
 
     @classmethod
     def _trusted(cls, terms: dict, *shape):
+        """Trusted element with the int coefficients ``terms``, zeros
+        dropped.  The element may keep ``terms`` itself: the caller
+        hands it over and must not change it afterwards."""
         out = object.__new__(cls)
         for name, value in zip(cls._shape, shape):
             setattr(out, name, value)
-        out.terms = {k: c for k, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        out.terms = terms
         return out
 
     @classmethod
@@ -206,15 +219,19 @@ class RationalTerms(SparseTerms):
     @classmethod
     def _trusted(cls, num: dict, den: int, *shape):
         """Trusted element ``num / den`` for int numerators and a positive
-        ``den``, reduced by the gcd of the pair."""
+        ``den``, zeros dropped and reduced by the gcd of the pair.  The
+        element may keep ``num`` itself: the caller hands it over and
+        must not change it afterwards."""
         out = object.__new__(cls)
         for name, value in zip(cls._shape, shape):
             setattr(out, name, value)
-        num = {k: n for k, n in num.items() if n}
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: n // g for k, n in num.items()}
-            den //= g
+        if 0 in num.values():
+            num = {k: n for k, n in num.items() if n}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: n // g for k, n in num.items()}
+                den //= g
         out.num, out.den = num, den
         return out
 
@@ -287,6 +304,26 @@ def _sum_terms(pairs) -> dict:
             out[key] += c
         else:
             out[key] = c
+    return out
+
+
+def outer_sum_terms(parts) -> dict:
+    """Sum of ``c * (f_1 (x) ... (x) f_m)`` over the ``(c, factors)``
+    parts, each factor a map from words to numerators, into one map from
+    m-tuples of words; keys that cancel stay at zero."""
+    out: dict = {}
+    for c, factors in parts:
+        terms = {(): c}
+        for f in factors:
+            terms = {key + (w,): x * n for key, x in terms.items() for w, n in f.items()}
+        if not out:
+            out = terms
+            continue
+        for key, x in terms.items():
+            if key in out:
+                out[key] += x
+            else:
+                out[key] = x
     return out
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from extensor.cg_algebra import OrderedBasis, PeanoSpace, standard_basis
-from extensor.exterior import ExteriorElement, make_extensor, unit_vector
+from extensor.exterior import (DimensionMismatch, ExteriorElement, make_extensor,
+                               unit_vector)
 from extensor.tensor_power import TensorPowerElement, contains, diamond
 
 
@@ -50,6 +51,10 @@ class TestBracket:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             PeanoSpace.standard(3).bracket([(1, 0, 0)])
+
+    def test_short_vector_after_a_dependent_prefix(self):
+        with pytest.raises(DimensionMismatch):
+            PeanoSpace.standard(3).bracket([(1, 0, 0), (2, 0, 0), (1, 2)])
 
 
 class TestMeet:

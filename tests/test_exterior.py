@@ -73,6 +73,11 @@ class TestMakeExtensor:
         with pytest.raises(DimensionMismatch):
             make_extensor([(1, 0, 0), (1, 0)], 3)
 
+    def test_dimension_mismatch_after_a_dependent_prefix(self):
+        for vecs in ([(1, 0, 0), (2, 0, 0), (1, 2)], [(0, 0, 0), (1, 2, 3, 4)]):
+            with pytest.raises(DimensionMismatch):
+                make_extensor(vecs, 3)
+
 
 class TestWedge:
     def test_transposition_sign(self):

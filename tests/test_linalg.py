@@ -66,21 +66,6 @@ def ref_invert(mat):
     return [row[n:] for row in red[:n]]
 
 
-def ref_solve_combination(rows, target):
-    target = [Fraction(t) for t in target]
-    if not rows:
-        return [] if not any(target) else None
-    k, n = len(rows), len(rows[0])
-    red, pivots = ref_rref([[Fraction(rows[j][i]) for j in range(k)] + [target[i]]
-                            for i in range(n)])
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(red, pivots):
-        coeffs[p] = row[k]
-    return coeffs
-
-
 def ref_intersect_spans(rows_a, rows_b, ncols):
     if not rows_a or not rows_b:
         return []
@@ -150,30 +135,6 @@ def test_invert_matches_the_reference(mat):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_solve_combination_matches_the_reference(data):
-    rows = data.draw(matrices())
-    n = len(rows[0]) if rows else data.draw(st.integers(1, 4))
-    inside = [sum((data.draw(entries) * x for x in col), Fraction(0))
-              for col in zip(*rows)] if rows else [0] * n
-    outside = data.draw(st.lists(entries, min_size=n, max_size=n))
-    for target in (inside, outside, [0] * n):
-        got = linalg.solve_combination(rows, target)
-        assert typed(got) == typed(ref_solve_combination(rows, target))
-
-
-@settings(max_examples=100, deadline=None)
-@given(matrices())
-def test_rank_factorization_matches_the_reference(mat):
-    cols, red = linalg.rank_factorization(mat)
-    want, pivots = ref_rref(mat)
-    assert typed(red) == typed(want)
-    assert typed(cols) == typed([[Fraction(row[p]) for p in pivots] for row in mat])
-    assert [[sum(c * r[j] for c, r in zip(row, red)) for j in range(len(row_m))]
-            for row, row_m in zip(cols, mat)] == mat
-
-
-@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(matrices(ncols=n), matrices(ncols=n))))
 def test_intersect_spans_matches_the_reference(pair):
     rows_a, rows_b = pair
@@ -192,9 +153,6 @@ def test_fixed_shapes():
     assert typed(linalg.invert([[Fraction(-3, 7)]])) == typed([[Fraction(-7, 3)]])
     with pytest.raises(ValueError, match="singular"):
         linalg.invert([[0]])
-    assert linalg.solve_combination([], [0, 0]) == []
-    assert linalg.solve_combination([], [0, 1]) is None
-    assert linalg.solve_combination([[0, 0]], [0, 1]) is None
     # entries may be ints, Fractions or strings such as "1/2"
     rows = [[1, "1/2", Fraction(2, 3)], ["3", 0, "-1/3"]]
     assert typed(linalg.rref(rows)) == typed(ref_rref(rows))
@@ -274,8 +232,6 @@ def test_sparse_echelon_against_the_reference(case):
     ("rank", ([[1, 2], [3, 4]],)),
     ("nullspace", ([[1, 2]], 2)),
     ("invert", ([[1, 2], [3, 4]],)),
-    ("solve_combination", ([[1, 2], [3, 4]], [4, 6])),
-    ("rank_factorization", ([[1, 2], [2, 4]],)),
     ("intersect_spans", ([[1, 0], [0, 1]], [[1, 1]], 2)),
 ])
 def test_every_routine_eliminates_through_the_echelon(name, args, monkeypatch):
