@@ -87,22 +87,22 @@ class BitableauElement(IntegerTerms):
                 word = tuple(x for x, _ in run)
                 yield Biproduct(word, ((place, len(word)),))
 
-        return cls._trusted({tuple(rows(mono)): c for mono, c in e.terms.items()}, e.m)
+        return cls._trusted({tuple(rows(mono)): c for mono, c in e.num.items()}, 1, e.m)
 
     def __mul__(self, other):
         if not isinstance(other, BitableauElement):
             return self.scale(other)
         self._check(other)
         return self._like(_sum_terms((r1 + r2, c1 * c2)
-                                     for r1, c1 in self.terms.items()
-                                     for r2, c2 in other.terms.items()))
+                                     for r1, c1 in self.num.items()
+                                     for r2, c2 in other.num.items()))
 
     def to_letterplace(self) -> LetterplaceElement:
         """Expand every row product; the value in the letterplace algebra."""
         m = self.m
         return LetterplaceElement._trusted(_sum_terms(
-            (mono, c * v) for rows, c in self.terms.items()
-            for mono, v in _row_product_terms(rows, m).items()), m)
+            (mono, c * v) for rows, c in self.num.items()
+            for mono, v in _row_product_terms(rows, m).items()), 1, m)
 
 
 def _row_product_terms(rows: Rows, m: int) -> dict:
@@ -112,7 +112,7 @@ def _row_product_terms(rows: Rows, m: int) -> dict:
     to right, and all of them go into one sum."""
     partial = [((), 1)]
     for row in rows:
-        factor = biproduct_expand(row, m).terms.items()
+        factor = biproduct_expand(row, m).num.items()
         partial = [(mono, s * c * cv) for u, c in partial for v, cv in factor
                    for s, mono in [_merge_monomials(u, v)] if s]
     return _sum_terms(partial)
@@ -273,7 +273,7 @@ def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
         else:
             del work[rows]
 
-    for rows, c in e.terms.items():
+    for rows, c in e.num.items():
         add(rows, c, sum(len(r.word) for r in rows))
     done: dict[Rows, int] = {}
     pairs: dict[Rows, object] = {}
@@ -420,7 +420,7 @@ def standard_expansion(e: LetterplaceElement) -> BitableauElement:
                 rows = tuple(Biproduct(tuple(back[x] for x in r.word), r.degrees)
                              for r in rows)
             out[rows] = c.numerator
-    return BitableauElement._trusted(out, m)
+    return BitableauElement._trusted(out, 1, m)
 
 
 # -- the two-row identity, both sides in expanded form ----------------

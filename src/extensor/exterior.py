@@ -3,11 +3,15 @@
 Elements are sparse maps from index words (strictly increasing tuples
 of 1-based basis indices) to rational coefficients; the empty word is
 the unit.  An element stores them as integer numerators over one
-denominator (:class:`~extensor.tensorops.RationalTerms`), and its
-``terms`` reads them back as ``Fraction``.  Extensors are wedges of
-vectors built with :func:`make_extensor`; a vector is a tuple of ``dim``
-rationals.  All values are immutable after construction and all
-operations are pure.
+denominator in :class:`~extensor.tensorops.SparseTerms`, the one
+arithmetic class of the package (its integer side, the letterplace
+elements, is the ``den == 1`` case, whose ``terms`` is ``num``
+itself); here ``terms`` reads them back as ``Fraction``.  Kernel
+output is built by ``SparseTerms._trusted``, which takes ownership of
+the numerator dict it is given.  Extensors are wedges of vectors built
+with :func:`make_extensor`; a vector is a tuple of ``dim`` rationals.
+All values are immutable after construction and all operations are
+pure.
 
 The wedge, the slice and :func:`substitute` run on the numerators alone;
 word merges and slices are table lookups in :mod:`extensor.words`.
@@ -24,7 +28,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .tensorops import RationalTerms, _sum_terms
+from .tensorops import SparseTerms, _over_common_denominator, _sum_terms
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -59,7 +63,7 @@ def word_str(word: Word) -> str:
     return "^".join(f"e{i}" for i in word)
 
 
-class ExteriorElement(RationalTerms):
+class ExteriorElement(SparseTerms):
     """A sparse element of the exterior algebra of a fixed dimension."""
 
     __slots__ = ("dim",)
@@ -85,7 +89,8 @@ class ExteriorElement(RationalTerms):
     @classmethod
     def from_vector(cls, coords: Iterable) -> "ExteriorElement":
         v = as_vector(coords)
-        return cls._from_fractions({(i,): c for i, c in enumerate(v, start=1)}, len(v))
+        return cls._trusted(*_over_common_denominator(
+            {(i,): c for i, c in enumerate(v, start=1)}), len(v))
 
     # -- ring structure ----------------------------------------------
 

@@ -80,7 +80,7 @@ class LetterplaceElement(IntegerTerms):
         self._check(other)
         return self._like(_sum_terms(
             (mono, sign * cu * cv)
-            for u, cu in self.terms.items() for v, cv in other.terms.items()
+            for u, cu in self.num.items() for v, cv in other.num.items()
             for sign, mono in [_merge_monomials(u, v)] if sign))
 
 
@@ -129,7 +129,7 @@ def _graded_components(e: LetterplaceElement) -> dict:
     and each group's key is counted once.
     """
     groups: dict[tuple, dict] = {}
-    for mono, c in e.terms.items():
+    for mono, c in e.num.items():
         if mono:
             letters, places = zip(*mono)
             shape = (places, tuple(sorted(letters)))
@@ -195,7 +195,7 @@ def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     if k != h:
         return polarize_divided(1, k, h, e)
     return e._like({mono: c * sum(1 for _, place in mono if place == h)
-                    for mono, c in e.terms.items()})
+                    for mono, c in e.num.items()})
 
 
 def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -218,7 +218,7 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
     base = h * (h - 1) // 2
 
     def images():
-        for mono, c in e.terms.items():
+        for mono, c in e.num.items():
             n = len(mono)
             for chosen in combinations(
                     [p for p, (_, place) in enumerate(mono) if place == i], h):
@@ -295,8 +295,8 @@ def _expand_biproduct(word: LetterWord, degrees, m: int) -> LetterplaceElement:
     products = ((tuple((x, places[t]) for t, block in enumerate(blocks) for x in block), sign)
                 for sign, blocks in word_slices(word, sizes))
     if _increasing(word) and _increasing(places):
-        return LetterplaceElement._trusted(dict(products), m)
-    return LetterplaceElement._trusted(_sum_products(products), m)
+        return LetterplaceElement._trusted(dict(products), 1, m)
+    return LetterplaceElement._trusted(_sum_products(products), 1, m)
 
 
 def _increasing(seq: tuple) -> bool:
@@ -353,12 +353,12 @@ class FreeTensorElement(IntegerTerms):
         if not isinstance(other, FreeTensorElement):
             return self.scale(other)
         self._check(other)
-        return self._like(tensorops.graded_product_terms(self.terms, other.terms))
+        return self._like(tensorops.graded_product_terms(self.num, other.num))
 
 
 def ft_diamond(h: int, j: int, i: int, t: FreeTensorElement) -> FreeTensorElement:
     """The formal geometric product on the free tensor power."""
-    return t._like(tensorops.diamond_terms(t.terms, h, j, i, t.m))
+    return t._like(tensorops.diamond_terms(t.num, h, j, i, t.m))
 
 
 def phi(e: LetterplaceElement) -> FreeTensorElement:
@@ -370,10 +370,10 @@ def phi(e: LetterplaceElement) -> FreeTensorElement:
     places = range(1, e.m + 1)
     return FreeTensorElement._trusted(
         {tuple(tuple(x for x, i in mono if i == p) for p in places): c
-         for mono, c in e.terms.items()}, e.m)
+         for mono, c in e.num.items()}, 1, e.m)
 
 
 def phi_inv(t: FreeTensorElement) -> LetterplaceElement:
     return LetterplaceElement._trusted(
         {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
-         for key, c in t.terms.items()}, t.m)
+         for key, c in t.num.items()}, 1, t.m)

@@ -19,14 +19,14 @@ from typing import Sequence
 from . import linalg, tensorops
 from .exterior import (DimensionMismatch, ExteriorElement, Word,
                        extensor_span, _index_word, word_str)
-from .tensorops import RationalTerms, fold_sort_key
+from .tensorops import SparseTerms, fold_sort_key
 
 
 class FoldMismatch(ValueError):
     """Operands have different fold counts."""
 
 
-class TensorPowerElement(RationalTerms):
+class TensorPowerElement(SparseTerms):
     """A sparse element of the m-fold tensor power."""
 
     __slots__ = ("dim", "m")

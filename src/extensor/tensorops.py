@@ -1,15 +1,16 @@
 """The sparse term kernel shared by every element type.
 
-:class:`SparseTerms` is the common base of the exterior, tensor power,
-letterplace, free tensor and bitableau elements: a map from basis keys
-to exact coefficients with the module operations on it.  The integer
-side (:class:`IntegerTerms`) keeps that map as ``terms``.  The rational
-side (:class:`RationalTerms`) keeps integer numerators ``num`` over one
-positive denominator ``den``, reduced so that the pair is unique; its
-``terms`` is a ``{key: Fraction}`` view made on each read.  Every sum,
-product, slice and geometric product then runs on ints, and a
-``Fraction`` is made only for that view and for the scalars the API
-returns.
+:class:`SparseTerms` is the one arithmetic class: the exterior, tensor
+power, letterplace, free tensor and bitableau elements all store their
+terms in it and share its module operations.  An element keeps integer
+numerators ``num`` over one positive denominator ``den``, reduced so
+that the pair is unique, and every sum, product, slice and geometric
+product runs on ints.  The coefficients lie in the class's ``ring``.
+Over ``Fraction`` (exterior and tensor power elements) ``terms`` is a
+``{key: Fraction}`` view made on each read, and a ``Fraction`` is made
+only for that view and for the scalars the API returns.  Over ``int``
+(:class:`IntegerTerms`, the letterplace side) ``den`` is always 1 and
+``terms`` is ``num`` itself.
 
 The fold-wise kernels below serve both tensor powers.  Their terms are
 maps from m-tuples of words to coefficients (integers or numerators:
@@ -25,14 +26,12 @@ linear map all run through it.
 
 Summation lives here too.  Every linear and bilinear map in the package
 is defined on basis keys and extended linearly; it hands its
-(key, coefficient) images to :func:`_sum_terms`, or its
-(element, coefficient) parts to the ``_sum`` of its class, and the
-trusted constructor drops the keys that cancelled.  The kernels return
-such sums as plain dicts, for their callers' ``_like``.  The trusted
-constructor takes ownership of the dict it gets: it scans it for zeros
-once (``0 in d.values()``) and keeps it as it stands when there are none
-and no common factor to divide out, so a caller must not change a dict
-after handing it over.
+(key, numerator) images to :func:`_sum_terms`, or its
+(element, coefficient) parts to :meth:`SparseTerms._sum`, and the
+trusted constructor :meth:`SparseTerms._trusted` drops the keys that
+cancelled.  That constructor takes ownership of the dict it gets, as
+its docstring states.  The kernels return such sums as plain dicts, for
+their callers' ``_like``.
 """
 
 from __future__ import annotations
@@ -46,31 +45,63 @@ from .words import merge_words, word_slices
 class SparseTerms:
     """A finite combination of basis keys with exact coefficients.
 
-    ``terms`` maps keys to nonzero coefficients of the class's ``ring``
-    (``Fraction`` or ``int``); :class:`IntegerTerms` and
-    :class:`RationalTerms` store them and define the module operations.
-    A subclass maps its shape slots (``dim`` and/or ``m``) in ``_shape``
-    to the error raised when operands differ there, validates keys in
-    ``_valid_key``, prints them with ``_key_str`` (ordered by
-    ``_sort_key``), and defines its own product.
+    ``num`` maps keys to nonzero int numerators and ``den`` is a
+    positive int, the coefficient of a key being ``num[key] / den`` in
+    the class's ``ring``.  The pair is reduced, ``gcd(den,
+    *num.values()) == 1``, which makes ``den`` the least common
+    denominator of the coefficients and the pair unique, so ``==``
+    compares it directly.  Over the default ring ``Fraction``, ``terms``
+    is a ``{key: Fraction}`` view for outside readers, made afresh on
+    each read; :class:`IntegerTerms` keeps ``den == 1`` and reads
+    ``terms`` as ``num`` itself.
 
-    The public constructor of each subclass validates every key and
-    coerces every coefficient.  Kernel output goes through ``_trusted``
-    instead, which is never re-validated: it only drops zero
-    coefficients, so no element ever stores one, and may keep the
-    caller's dict as its own.
+    The module operations are defined here once.  A subclass maps its
+    shape slots (``dim`` and/or ``m``) in ``_shape`` to the error raised
+    when operands differ there, validates keys in ``_valid_key``, prints
+    them with ``_key_str`` (ordered by ``_sort_key``), and defines its
+    own product.  The public constructor of each subclass validates
+    every key and coerces every coefficient (``_store``); kernel output
+    goes through :meth:`_trusted` instead, which is never re-validated
+    and takes ownership of the dict it gets.
     """
 
-    __slots__ = ()
+    __slots__ = ("num", "den")
     _shape: dict[str, type[Exception]] = {}
-    ring: type = int
+    ring: type = Fraction
 
-    def _like(self, *stored):
+    @classmethod
+    def _trusted(cls, num: dict, den: int, *shape):
+        """Trusted element ``num / den`` for int numerators and a positive
+        ``den``, zeros dropped and reduced by the gcd of the pair.
+
+        It takes ownership of ``num``: when ``num`` holds no zero (one
+        ``0 in num.values()`` scan) and the pair has no common factor,
+        the element keeps ``num`` as it stands, so a caller must not
+        change a dict after handing it over.
+        """
+        out = object.__new__(cls)
+        for name, value in zip(cls._shape, shape):
+            setattr(out, name, value)
+        if 0 in num.values():
+            num = {k: n for k, n in num.items() if n}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: n // g for k, n in num.items()}
+                den //= g
+        out.num, out.den = num, den
+        return out
+
+    def _like(self, num: dict, den: int = 1):
         """Trusted element of the same class and shape as ``self``."""
-        return self._trusted(*stored, *self._shape_values())
+        return self._trusted(num, den, *self._shape_values())
 
     def _shape_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._shape)
+
+    def _store(self, terms):
+        """Store public-constructor terms (see ``_clean``)."""
+        self.num, self.den = _over_common_denominator(self._clean(terms))
 
     def _coerce(self, value):
         """``value`` in the ring; the integers refuse a non-integral value."""
@@ -88,6 +119,11 @@ class SparseTerms:
             if c:
                 clean[self._valid_key(key)] = c
         return clean
+
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.num.items()}
 
     @staticmethod
     def _sort_key(key):
@@ -107,143 +143,10 @@ class SparseTerms:
             if mine != theirs:
                 raise error(f"{name} {mine} and {theirs} differ")
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __str__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-        return format_terms(items, self._key_str)
-
-    def __repr__(self) -> str:
-        shape = "".join(f"{v!r}, " for v in self._shape_values())
-        return f"{type(self).__name__}({shape}{self.terms!r})"
-
-
-class IntegerTerms(SparseTerms):
-    """Integer combination over ``m`` places: the letterplace side.
-
-    ``terms`` is the stored map from keys to nonzero ints.
-    """
-
-    __slots__ = ("terms", "m")
-    _shape = {"m": ValueError}
-    ring = int
-
-    def __init__(self, m: int, terms=None):
-        if m < 1:
-            raise ValueError("need at least one place")
-        self.m = m
-        self.terms = self._clean(terms)
-
-    @classmethod
-    def _trusted(cls, terms: dict, *shape):
-        """Trusted element with the int coefficients ``terms``, zeros
-        dropped.  The element may keep ``terms`` itself: the caller
-        hands it over and must not change it afterwards."""
-        out = object.__new__(cls)
-        for name, value in zip(cls._shape, shape):
-            setattr(out, name, value)
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        out.terms = terms
-        return out
-
-    @classmethod
-    def _sum(cls, parts, *shape):
-        """Trusted ``sum(c * x)`` over the ``(x, c)`` parts, each of this
-        class; a part of another shape raises as ``+`` does."""
-        out = cls._trusted({}, *shape)
-
-        def pairs():
-            for x, c in parts:
-                out._check(x)
-                if c == 1:
-                    yield from x.terms.items()
-                else:
-                    yield from ((k, c * v) for k, v in x.terms.items())
-
-        return out._like(_sum_terms(pairs()))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar):
-        """Every coefficient times ``scalar``, which must be an integer."""
-        s = self._coerce(scalar)
-        return self._like({k: s * c for k, c in self.terms.items()})
-
-    __mul__ = __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and self._shape_values() == other._shape_values()
-                and self.terms == other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-
-class RationalTerms(SparseTerms):
-    """Rational combination stored as integer numerators over one
-    denominator: the exterior and tensor power side.
-
-    ``num`` maps keys to nonzero int numerators and ``den`` is a positive
-    int, the coefficient of a key being ``num[key] / den``.  The pair is
-    reduced, ``gcd(den, *num.values()) == 1``, which makes ``den`` the
-    least common denominator of the coefficients and the pair unique, so
-    ``==`` compares it directly.  ``terms`` is a ``{key: Fraction}`` view
-    for outside readers, made afresh on each read.
-    """
-
-    __slots__ = ("num", "den")
-    ring = Fraction
-
-    def _store(self, terms):
-        """Store public-constructor terms (see ``_clean``)."""
-        self.num, self.den = _over_common_denominator(self._clean(terms))
-
-    @classmethod
-    def _from_fractions(cls, terms: dict, *shape):
-        """Trusted element with the rational coefficients ``terms``."""
-        return cls._trusted(*_over_common_denominator(terms), *shape)
-
-    @classmethod
-    def _trusted(cls, num: dict, den: int, *shape):
-        """Trusted element ``num / den`` for int numerators and a positive
-        ``den``, zeros dropped and reduced by the gcd of the pair.  The
-        element may keep ``num`` itself: the caller hands it over and
-        must not change it afterwards."""
-        out = object.__new__(cls)
-        for name, value in zip(cls._shape, shape):
-            setattr(out, name, value)
-        if 0 in num.values():
-            num = {k: n for k, n in num.items() if n}
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {k: n // g for k, n in num.items()}
-                den //= g
-        out.num, out.den = num, den
-        return out
-
-    @property
-    def terms(self) -> dict:
-        den = self.den
-        return {k: Fraction(n, den) for k, n in self.num.items()}
-
     @classmethod
     def _sum(cls, parts, *shape, den: int = 1):
         """Trusted ``sum(c * x) / den`` over the ``(x, c)`` parts, each of
-        this class with an int or Fraction ``c``; a part of another shape
+        this class with a ``c`` in its ring; a part of another shape
         raises as ``+`` does.  The parts are written over the least
         common multiple of their denominators and summed on ints."""
         out = cls._trusted({}, 1, *shape)
@@ -262,16 +165,19 @@ class RationalTerms(SparseTerms):
         self._check(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        out = {k: n * fa for k, n in self.num.items()}
+        out = dict(self.num) if fa == 1 else {k: n * fa for k, n in self.num.items()}
         for k, n in other.num.items():
             out[k] = out.get(k, 0) + n * fb
         return self._like(out, den)
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __neg__(self):
         return self._like({k: -n for k, n in self.num.items()}, self.den)
 
     def scale(self, scalar):
-        """Every coefficient times the rational ``scalar``."""
+        """Every coefficient times ``scalar``, which must lie in the ring."""
         s = self._coerce(scalar)
         p = s.numerator
         return self._like({k: p * n for k, n in self.num.items()},
@@ -286,6 +192,35 @@ class RationalTerms(SparseTerms):
 
     def __bool__(self) -> bool:
         return bool(self.num)
+
+    def __str__(self) -> str:
+        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return format_terms(items, self._key_str)
+
+    def __repr__(self) -> str:
+        shape = "".join(f"{v!r}, " for v in self._shape_values())
+        return f"{type(self).__name__}({shape}{self.terms!r})"
+
+
+class IntegerTerms(SparseTerms):
+    """Integer combination over ``m`` places: the letterplace side.
+
+    Every element has ``den == 1``, and ``terms`` is ``num`` itself.
+    """
+
+    __slots__ = ("m",)
+    _shape = {"m": ValueError}
+    ring = int
+
+    def __init__(self, m: int, terms=None):
+        if m < 1:
+            raise ValueError("need at least one place")
+        self.m = m
+        self._store(terms)
+
+    @property
+    def terms(self) -> dict:
+        return self.num
 
 
 def _over_common_denominator(terms: dict):

@@ -213,7 +213,7 @@ class WhitneyElement:
     __slots__ = ("matroid", "raw")
 
     def __init__(self, matroid: Matroid, raw: LetterplaceElement):
-        letters = {x for mono in raw.terms for x, _ in mono}
+        letters = {x for mono in raw.num for x, _ in mono}
         if not letters <= set(matroid.ground):
             raise ValueError("element uses letters outside the ground set")
         self.matroid = matroid
@@ -262,7 +262,7 @@ class WhitneyElement:
 
 def _drop_dead_rows(x: BitableauElement, matroid: Matroid) -> BitableauElement:
     """``x`` without the products that contain a dependent row."""
-    return x._like({rows: c for rows, c in x.terms.items()
+    return x._like({rows: c for rows, c in x.num.items()
                     if all(matroid.is_independent_word(r.word) for r in rows)})
 
 
@@ -357,7 +357,7 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
             if sum(comp) != size:
                 continue
             gen_deg = tuple((p + 1, q) for p, q in enumerate(comp) if q)
-            gen = _expand_biproduct(wset, gen_deg, m).terms.items()
+            gen = _expand_biproduct(wset, gen_deg, m).num.items()
             rest_pdeg = {p: pdeg.get(p, 0) - q for p, q in enumerate(comp, start=1)}
             for mono in _monomials_with(rest_content, rest_pdeg, m):
                 # a product with one monomial maps distinct terms to
@@ -425,7 +425,7 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
     rhs = _sum_terms((_two_places(one, u2), sign_uv * sign * s)
                      for sign, (u1, u2) in word_slices(u, (p - k, k))
                      for s, one in [merge_words(u1, v)] if s)
-    return LetterplaceElement._trusted(lhs, 2), LetterplaceElement._trusted(rhs, 2)
+    return LetterplaceElement._trusted(lhs, 1, 2), LetterplaceElement._trusted(rhs, 1, 2)
 
 
 def _two_places(one: tuple, two: tuple) -> tuple:
@@ -470,4 +470,4 @@ def represent(images: Mapping[str, Sequence], e: WhitneyElement) -> TensorPowerE
     return TensorPowerElement._sum(
         ((TensorPowerElement.from_elements(
             [make_extensor([vecs[x] for x in w], dim) for w in key]), c)
-         for key, c in phi(e.raw).terms.items()), dim, e.m)
+         for key, c in phi(e.raw).num.items()), dim, e.m)

@@ -4,10 +4,15 @@ Every operation result, and the result of every linear map that sums
 its images in the kernel, must equal its rebuild through the validating
 public constructor of its own class, store no zero coefficient and keep
 every coefficient in that class's ring, whichever class produced it.
+Every element stores a reduced pair of integer numerators over one
+positive denominator, and the module operations are defined once for
+all five classes.
 """
 
+import inspect
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,10 +152,22 @@ def check_kernel(cls, a, b, scalar):
         assert r == rebuild(r)
         assert all(c != 0 for c in r.terms.values())
         assert all(type(c) is ring for c in r.terms.values())
+        check_stored_pair(r, ring)
     assert a + b - b == a
     assert -(-a) == a
     zero = a.scale(0)
     assert not zero and zero == a - a
+
+
+def check_stored_pair(r, ring):
+    """``r`` stores ``num`` over ``den``: a positive int denominator, nonzero
+    int numerators, no common factor; the int ring stores ``den == 1``."""
+    assert type(r.den) is int and r.den > 0
+    assert all(type(n) is int and n != 0 for n in r.num.values())
+    assert gcd(r.den, *r.num.values()) == 1
+    if ring is int:
+        assert r.den == 1 and r.terms is r.num
+    assert r.terms == {k: ring(Fraction(n, r.den)) for k, n in r.num.items()}
 
 
 @pytest.mark.parametrize("cls", list(CLASSES), ids=lambda c: c.__name__)
@@ -199,3 +216,14 @@ def test_integer_constructors_refuse_fractional_coefficients(build):
         with pytest.raises(TypeError):
             build(coeff)
     assert build(Fraction(4, 2)) == build(2)
+
+
+MODULE_OPERATIONS = ("_trusted", "_like", "_sum", "__add__", "__sub__", "__neg__",
+                     "scale", "__rmul__", "__eq__", "__bool__")
+
+
+@pytest.mark.parametrize("name", MODULE_OPERATIONS)
+def test_every_class_shares_one_module_operation(name):
+    """No element class keeps a module operation of its own."""
+    found = [inspect.getattr_static(cls, name) for cls in CLASSES]
+    assert all(f is found[0] for f in found)
