@@ -392,18 +392,23 @@ def _build_component_echelon(pdeg_t, content_t, m: int) -> linalg.SparseEchelon:
     return echelon
 
 
-def standard_expansion(e: LetterplaceElement) -> BitableauElement:
+def standard_expansion(e: LetterplaceElement,
+                       components: dict | None = None) -> BitableauElement:
     """Exact coordinates of an element in the doubly standard basis.
 
     Works one (place degree, letter content) component at a time,
     against the echelon of the component's letter pattern; every
     candidate must add a pivot and every component must reduce to
     zero, so a failure of either spanning or independence raises
-    instead of returning a wrong answer.
+    instead of returning a wrong answer.  ``components``, when given,
+    is ``_graded_components(e)``, split once by a caller that also
+    hands it to the membership oracle.
     """
     m = e.m
     out: dict[Rows, int] = {}
-    for (pdeg_t, content_t), vec in _graded_components(e).items():
+    if components is None:
+        components = _graded_components(e)
+    for (pdeg_t, content_t), vec in components.items():
         pattern, letters = _letter_pattern(pdeg_t, content_t)
         renaming, echelon = _shared_echelon(
             _component_echelons, pattern, letters,

@@ -40,8 +40,8 @@ from .identity_suite import SUITES, Report, run_suite
 from .linalg import rational
 from .letterplace import LetterplaceElement
 from .tensor_power import TensorPowerElement, diamond
-from .whitney import (WhitneyElement, exchange_check, make_matroid,
-                      wh_normal_form)
+from .whitney import (MAX_ORACLE_DEGREE, WhitneyElement, exchange_check,
+                      make_matroid, wh_normal_form)
 from .letterplace import expand_raw, polarize_divided
 
 
@@ -548,6 +548,12 @@ def cmd_matroid(args) -> int:
     reports: list[Report] = []
     if args.check == "exchange":
         words = list(matroid.independent_sorted_words(args.max_word))
+        # a pair of words makes components of degree up to its total length
+        degree = 2 * max(map(len, words), default=0)
+        if degree > MAX_ORACLE_DEGREE:
+            raise EvalError(f"--max-word {args.max_word} pairs words into components "
+                            f"of degree {degree}, above the oracle's limit "
+                            f"{MAX_ORACLE_DEGREE}")
         for u in words:
             for v in words:
                 ok = exchange_check(u, v, matroid)

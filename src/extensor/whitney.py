@@ -9,11 +9,12 @@ basis product that contains a dependent row.  The deletion is sound by
 construction but not complete: some members of the ideal keep a
 nonzero normal form, so the brute-force linear-algebra membership
 oracle is the test of zero.  The oracle builds the echelon of each
-letter and dependence pattern of ideal components once per
-:class:`Matroid` and keeps it on the matroid, shared by every
-component with those patterns through an order-preserving renaming of
-letters, so the echelons live as long as the matroid does and their
-memory grows with the number of patterns met, not of components.
+letter and circuit pattern of ideal components once per
+:class:`Matroid`, from the biproducts of the circuits, and keeps it on
+the matroid, shared by every component with those patterns through an
+order-preserving renaming of letters, so the echelons live as long as
+the matroid does and their memory grows with the number of patterns
+met, not of components.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .tensorops import _sum_terms
 from .words import merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# the highest component degree the membership oracle builds an echelon for
+MAX_ORACLE_DEGREE = 8
 
 
 class NotARepresentation(ValueError):
@@ -266,9 +269,11 @@ def _drop_dead_rows(x: BitableauElement, matroid: Matroid) -> BitableauElement:
                     if all(matroid.is_independent_word(r.word) for r in rows)})
 
 
-def wh_normal_form(e: WhitneyElement) -> BitableauElement:
+def wh_normal_form(e: WhitneyElement,
+                   components: dict | None = None) -> BitableauElement:
     """Expand in the doubly standard basis and delete every product
-    that contains a dependent row.
+    that contains a dependent row; ``components``, when given, is the
+    split of ``e.raw`` that :func:`standard_expansion` takes.
 
     Every deleted product contains a dependent-word biproduct, which is
     a generator of the defining ideal, so the class is preserved; the
@@ -279,7 +284,7 @@ def wh_normal_form(e: WhitneyElement) -> BitableauElement:
     dependent in rank 3.  :func:`ideal_membership_bruteforce` decides
     membership.
     """
-    return _drop_dead_rows(standard_expansion(e.raw), e.matroid)
+    return _drop_dead_rows(standard_expansion(e.raw, components), e.matroid)
 
 
 # -- brute-force ideal membership -------------------------------------
@@ -314,39 +319,58 @@ def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
     ``pdeg_t`` and letter content ``content_t`` in m places.
 
     The component depends on its letters only through their order and
-    which subsets of them are dependent, so the matroid keeps one
-    echelon per letter pattern and dependence pattern, in
+    which subsets of them are dependent, which its circuits fix, so the
+    matroid keeps one echelon per letter pattern and circuit pattern, in
     ``_pattern_echelons``; ``renaming`` sends the component's letters
     onto that echelon's, in order, and is None when they are the same.
     ``_ideal_echelons`` keeps the pair per component, so each
-    component's dependence pattern is worked out once.  Both live as
-    long as the matroid; callers only reduce against the echelon.
+    component's circuits are worked out once.  Both live as long as the
+    matroid; callers only reduce against the echelon.
     """
     key = (pdeg_t, content_t, m)
     hit = matroid._ideal_echelons.get(key)
     if hit is None:
         pattern, letters = _letter_pattern(pdeg_t, content_t)
-        dependent = tuple(sub for size in range(1, len(letters) + 1)
-                          for sub in combinations(range(len(letters)), size)
-                          if not matroid.is_independent(letters[i] for i in sub))
+        circuits = _circuits(matroid, letters)
         hit = matroid._ideal_echelons[key] = _shared_echelon(
-            matroid._pattern_echelons, (pattern, dependent), letters,
-            lambda: _build_ideal_echelon(pdeg_t, content_t, m, dependent))
+            matroid._pattern_echelons, (pattern, circuits), letters,
+            lambda: _build_ideal_echelon(pdeg_t, content_t, m, circuits))
     return hit
 
 
+def _circuits(matroid: Matroid, letters: Sequence[str]) -> tuple:
+    """Index tuples of the circuits among ``letters``, the minimal
+    dependent subsets, smallest first.  A subset that holds a circuit
+    found before it is dependent and not minimal, so it is skipped
+    without a rank query."""
+    circuits, masks = [], []
+    for size in range(1, len(letters) + 1):
+        for sub in combinations(range(len(letters)), size):
+            mask = sum(1 << i for i in sub)
+            if any(c & mask == c for c in masks):
+                continue
+            if not matroid.is_independent(letters[i] for i in sub):
+                circuits.append(sub)
+                masks.append(mask)
+    return tuple(circuits)
+
+
 def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
-                         dependent: tuple) -> linalg.SparseEchelon:
+                         subsets: tuple) -> linalg.SparseEchelon:
     """The echelon of an ideal component, spanned by the monomial
-    multiples of the biproducts of its dependent words: the subsets of
-    its sorted letters at the ``dependent`` index tuples.  Each such
-    word is sorted and each generator degree sums to its length, so the
-    generators come straight from the biproduct expansion."""
+    multiples of the biproducts of the words at the ``subsets`` index
+    tuples of its sorted letters.  The oracle passes the circuits: a
+    dependent word w holds a circuit C, and a biproduct of w is a signed
+    sum of products of a biproduct of C with one of the rest of w, so
+    every generator of w is a sum of monomial multiples of generators of
+    C in the same component.  Each word is sorted and each generator
+    degree sums to its length, so the generators come straight from the
+    biproduct expansion."""
     pdeg = dict(pdeg_t)
     content = dict(content_t)
     letters = [x for x, _ in content_t]
     echelon = linalg.SparseEchelon()
-    for sub in dependent:
+    for sub in subsets:
         wset = tuple(letters[i] for i in sub)
         size = len(wset)
         rest_content = dict(content)
@@ -370,22 +394,25 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
 
 
 def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
-                                max_degree: int = 8) -> bool:
+                                max_degree: int = MAX_ORACLE_DEGREE,
+                                components: dict | None = None) -> bool:
     """Desk-scale membership oracle for the defining ideal.
 
-    Splits the element by place multidegree and letter content, spans
-    each graded piece of the ideal by monomial multiples of the
-    dependent-word biproducts, and decides membership by exact
-    elimination.  Independent of the straightening route.
+    Splits the element by place multidegree and letter content, or
+    takes that split as ``components``, spans each graded piece of the
+    ideal by monomial multiples of the circuit biproducts, and decides
+    membership by exact elimination.  Independent of the straightening
+    route.
 
-    Each ideal echelon is built once per matroid and letter and
-    dependence pattern (see :func:`_ideal_echelon`) and lives as long as
-    the matroid does, so the matroid's memory grows with the number of
+    Each ideal echelon is built once per matroid and letter and circuit
+    pattern (see :func:`_ideal_echelon`) and lives as long as the
+    matroid does, so the matroid's memory grows with the number of
     patterns the oracle has met, not of components.  Every component of
     ``e`` is checked against ``max_degree`` before any is looked up or
     built.
     """
-    components = _graded_components(e)
+    if components is None:
+        components = _graded_components(e)
     for pdeg_t, _ in components:
         degree = sum(q for _, q in pdeg_t)
         if degree > max_degree:
@@ -437,8 +464,9 @@ def exchange_check(u: Sequence[str], v: Sequence[str], matroid: Matroid) -> bool
     """Exchange relation verified through both the normal form and the oracle."""
     lhs, rhs = exchange_sides(u, v, matroid)
     diff = lhs - rhs
-    nf_zero = not wh_normal_form(WhitneyElement(matroid, diff))
-    oracle = ideal_membership_bruteforce(diff, matroid)
+    components = _graded_components(diff)
+    nf_zero = not wh_normal_form(WhitneyElement(matroid, diff), components)
+    oracle = ideal_membership_bruteforce(diff, matroid, components=components)
     return nf_zero and oracle
 
 

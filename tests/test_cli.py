@@ -15,7 +15,7 @@ from extensor.cli import (MAX_DIM, Environment, EvalError, ParseError,
                           read_document)
 from extensor.exterior import ExteriorElement
 from extensor.linalg import MAX_DECIMAL_EXPONENT
-from extensor.whitney import make_matroid
+from extensor.whitney import MAX_ORACLE_DEGREE, make_matroid
 
 
 ENV3 = Environment(dim=3)
@@ -322,6 +322,29 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {option} must be at least 0, got -1\n"
+
+    def test_exchange_sweep_at_the_oracle_degree_limit(self, tmp_path, capsys):
+        # the longest independent word of U(5,4) has 4 letters, so a pair
+        # makes components of degree up to 8, the oracle's limit
+        assert MAX_ORACLE_DEGREE == 8
+        path = tmp_path / "u54.json"
+        path.write_text(json.dumps({"kind": "uniform", "n": 5, "k": 4}))
+        assert main(["matroid", str(path), "exchange", "--max-word", "5"]) == 0
+        assert capsys.readouterr().out.endswith("matroid-exchange: 900/900 passed (seed 0)\n")
+
+    @pytest.mark.parametrize("n, k, degree", [(6, 5, 10), (5, 5, 10)])
+    def test_exchange_sweep_above_the_oracle_degree_limit_is_refused(
+            self, tmp_path, capsys, monkeypatch, n, k, degree):
+        # refused before any pair runs, even where every difference of
+        # degree above 8 vanishes, as in the free matroid U(5,5)
+        monkeypatch.setattr(cli, "exchange_check", None)
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"kind": "uniform", "n": n, "k": k}))
+        assert main(["matroid", str(path), "exchange", "--max-word", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --max-word 5 pairs words into components of "
+                                f"degree {degree}, above the oracle's limit 8\n")
 
     @pytest.mark.parametrize(
         "case", json.loads(Path(__file__).with_name("matroid_golden.json").read_text()),

@@ -518,6 +518,99 @@ class TestOracleEchelons:
         assert len(matroid._ideal_echelons) == 6
 
 
+VAMOS_PLANES = [set(a + b) for a, b in combinations(("ab", "cd", "ef", "gh"), 2)
+                if a + b != "efgh"]
+
+
+def vamos_matroid():
+    """The Vamos matroid: rank 4 on eight letters, sparse paving, its
+    dependent 4-sets the unions of two of the pairs ab, cd, ef, gh other
+    than efgh.  Not representable over any field."""
+    def rank_fn(subset):
+        return 3 if subset in VAMOS_PLANES else min(len(subset), 4)
+    return Matroid("abcdefgh", rank_fn, name="Vamos")
+
+
+def dependent_subsets(matroid, letters):
+    """Index tuples of every dependent subset of ``letters``, smallest
+    first: the generating set the circuits replace."""
+    return tuple(sub for size in range(1, len(letters) + 1)
+                 for sub in combinations(range(len(letters)), size)
+                 if not matroid.is_independent(letters[i] for i in sub))
+
+
+def is_circuit(matroid, word):
+    return not matroid.is_independent(word) and all(
+        matroid.is_independent(rest) for rest in combinations(word, len(word) - 1))
+
+
+CIRCUIT_MATROIDS = [six_point_matroid(), fano_matroid(), vamos_matroid()]
+
+
+@st.composite
+def ideal_components(draw):
+    """A matroid, a place count and the (place degrees, letter content)
+    key of a monomial of degree at most 4; a letter may repeat in other
+    places."""
+    matroid = draw(st.one_of(
+        st.sampled_from(CIRCUIT_MATROIDS),
+        st.integers(2, 6).flatmap(lambda n: st.builds(
+            Matroid.uniform, st.just(n), st.integers(1, n)))))
+    m = draw(st.sampled_from((2, 3)))
+    variables = draw(st.lists(st.tuples(st.sampled_from(matroid.ground),
+                                        st.integers(1, m)),
+                              min_size=1, max_size=4, unique=True))
+    (key,) = _graded_components(LetterplaceElement.from_vars(m, variables))
+    return matroid, m, key
+
+
+class TestCircuitGenerators:
+    """The oracle spans each ideal component by the circuit biproducts
+    alone; the biproducts of every dependent subset span the same rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ideal_components())
+    def test_circuits_span_what_every_dependent_subset_spans(self, case):
+        matroid, m, (pdeg_t, content_t) = case
+        letters = [x for x, _ in content_t]
+        dependent = dependent_subsets(matroid, letters)
+        circuits = whitney._circuits(matroid, letters)
+        assert circuits == tuple(sub for sub in dependent
+                                 if not any(set(c) < set(sub) for c in dependent))
+        assert _build_ideal_echelon(pdeg_t, content_t, m, circuits).reduced() == \
+            _build_ideal_echelon(pdeg_t, content_t, m, dependent).reduced()
+        whitney._ideal_echelon(matroid, pdeg_t, content_t, m)
+        # every echelon the matroid keeps was built from circuits only
+        for (_, subsets), (own, _) in matroid._pattern_echelons.items():
+            assert all(is_circuit(matroid, [own[i] for i in sub]) for sub in subsets)
+
+    def test_a_dependent_superset_is_not_a_generator(self, echelon_builds):
+        # in U(4,2) every triple of abcd is a circuit; abcd is dependent
+        # but holds one
+        matroid = Matroid.uniform(4, 2)
+        member = expand_raw("abc", {1: 2, 2: 1}, 2) * LetterplaceElement.generator(2, "d", 2)
+        assert ideal_membership_bruteforce(member, matroid)
+        ((_, subsets),) = matroid._pattern_echelons
+        assert subsets == tuple(combinations(range(4), 3))
+        assert echelon_builds[0].reduced() == _build_ideal_echelon(
+            *next(iter(matroid._ideal_echelons)),
+            dependent_subsets(matroid, "abcd")).reduced()
+
+    def test_vamos_exchange_relations(self):
+        # the Vamos circuits are its five dependent 4-sets and the 5-sets
+        # that hold none of them, so not every 4-set is a circuit
+        matroid = vamos_matroid()
+        words = list(matroid.independent_sorted_words(3))
+        assert len(words) ** 2 == 8464
+        assert all(exchange_check(u, v, matroid) for u in words for v in words)
+        kept = {tuple(own[i] for i in sub)
+                for (_, subsets), (own, _) in matroid._pattern_echelons.items()
+                for sub in subsets}
+        assert all(is_circuit(matroid, c) for c in kept)
+        assert {c for c in kept if len(c) == 4} == {tuple(sorted(p)) for p in VAMOS_PLANES}
+        assert {len(c) for c in kept} == {4, 5}
+
+
 @pytest.mark.xfail(strict=True, reason="deleting dependent-row products is "
                    "sound but not complete")
 def test_generator_multiples_have_zero_normal_form():
@@ -652,3 +745,27 @@ def test_the_whitney_path_never_sorts_a_monomial(monkeypatch):
     gen = expand_raw("acde", {1: 2, 2: 2}, 3)
     assert polarize_divided(2, 3, 1, gen) == expand_raw("acde", {2: 2, 3: 2}, 3)
     assert biproduct_expand(Biproduct(("a", "b", "e"), ((1, 1), (3, 2))), 3)
+
+
+def test_an_exchange_check_splits_its_difference_once(monkeypatch):
+    """The normal form and the oracle share one split of the difference,
+    and each route is still entered once per check."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (whitney, bitableau):
+        monkeypatch.setattr(module, "_graded_components",
+                            counted("split", letterplace._graded_components))
+    for name in ("wh_normal_form", "standard_expansion", "ideal_membership_bruteforce"):
+        monkeypatch.setattr(whitney, name, counted(name, getattr(whitney, name)))
+    matroid = six_point_matroid()
+    for u, v in (("ab", "cd"), ("bea", "fc"), ("abc", "def"), ("ce", "bf")):
+        del calls[:]
+        assert exchange_check(u, v, matroid)
+        assert sorted(calls) == ["ideal_membership_bruteforce", "split",
+                                 "standard_expansion", "wh_normal_form"]
