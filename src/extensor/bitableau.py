@@ -413,30 +413,19 @@ def standard_expansion(e: LetterplaceElement,
         renaming, echelon = _shared_echelon(
             _component_echelons, pattern, letters,
             lambda: _build_component_echelon(pdeg_t, content_t, m))
+        if renaming:
+            back = dict(zip(renaming.values(), renaming))
         coords: dict = {}
         if echelon.reduce(_renamed(vec, renaming), coords):
             raise AssertionError("standard products failed to span")
-        if any(c.denominator != 1 for c in coords.values()):
-            raise AssertionError("non-integral standard coordinates")
-        out.update(_renamed_rows({rows: c.numerator for rows, c in coords.items()},
-                                 _inverse(renaming)))
+        for rows, c in coords.items():
+            if c.denominator != 1:
+                raise AssertionError("non-integral standard coordinates")
+            if renaming:
+                rows = tuple(Biproduct(tuple(back[x] for x in r.word), r.degrees)
+                             for r in rows)
+            out[rows] = c.numerator
     return BitableauElement._trusted(out, 1, m)
-
-
-def _inverse(renaming: dict | None) -> dict | None:
-    """The renaming back, None when ``renaming`` is."""
-    return None if renaming is None else dict(zip(renaming.values(), renaming))
-
-
-def _renamed_rows(vec: dict, renaming: dict | None) -> dict:
-    """A vector of row products with the letters of every row renamed,
-    itself when ``renaming`` is None; an order-preserving renaming keeps
-    each row's word sorted and the products' order."""
-    if renaming is None:
-        return vec
-    return {tuple(Biproduct(tuple(renaming[x] for x in r.word), r.degrees)
-                  for r in rows): c
-            for rows, c in vec.items()}
 
 
 # -- the two-row identity, both sides in expanded form ----------------

@@ -162,21 +162,6 @@ class SparseEchelon:
         return dict(sorted(done.items()))
 
 
-def remainder(reduced: dict, vec: dict) -> dict:
-    """``vec`` less the combination of the rows of ``reduced``, a
-    :meth:`SparseEchelon.reduced` form, that clears every pivot key of
-    ``vec``: the one vector of the coset of the span with no pivot key,
-    empty exactly when ``vec`` lies in the span.  Each row is zero at
-    every other pivot, so the pivots are cleared in any order.  Rows
-    with pivot coefficient 1 keep an integer ``vec`` integral."""
-    rest = {k: v for k, v in vec.items() if v}
-    for lead in [k for k in rest if k in reduced]:
-        row = reduced[lead]
-        f = rest[lead] if row[lead] == 1 else Fraction(rest[lead], row[lead])
-        _add_multiple(rest, -f, row)
-    return {k: _exact(v) if isinstance(v, Fraction) else v for k, v in rest.items()}
-
-
 def _sparse(row) -> dict:
     """The dense ``row`` of rationals as a vector keyed by column."""
     return {j: x if isinstance(x, (int, Fraction)) else Fraction(x)

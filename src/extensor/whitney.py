@@ -3,18 +3,18 @@
 The m-th Whitney algebra of a matroid is the quotient of the m-fold
 tensor power of the free skew algebra on the ground set by the slices
 of dependent words; under the place-regrouping isomorphism the defining
-ideal is generated by the biproducts of dependent words.  The
-brute-force linear-algebra membership oracle builds the echelon of each
+ideal is generated by the biproducts of dependent words.  The normal
+form expands an element in the doubly standard basis and drops every
+basis product that contains a dependent row.  The deletion is sound by
+construction but not complete: some members of the ideal keep a
+nonzero normal form, so the brute-force linear-algebra membership
+oracle is the test of zero.  The oracle builds the echelon of each
 letter and circuit pattern of ideal components once per
 :class:`Matroid`, from the biproducts of the circuits, and keeps it on
 the matroid, shared by every component with those patterns through an
 order-preserving renaming of letters, so the echelons live as long as
 the matroid does and their memory grows with the number of patterns
-met, not of components.  The normal form expands an element in the
-doubly standard basis, drops every basis product that contains a
-dependent row and reduces what is left against the same ideal component
-written in that basis, kept beside its echelon; it is zero exactly on
-the ideal, over the rationals.
+met, not of components.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import operator
 import random
 
 from . import linalg
-from .bitableau import (BitableauElement, Rows, _inverse, _renamed_rows,
-                        standard_expansion)
+from .bitableau import BitableauElement, standard_expansion
 # re-exported: the benchmark tests look it up as whitney.straighten
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
-from .letterplace import (LetterplaceElement, _counts, _expand_biproduct,
+from .letterplace import (LetterplaceElement, _expand_biproduct,
                           _graded_components, _letter_pattern, _merge_monomials,
                           _renamed, _shared_echelon, _var_key, phi)
 from .tensor_power import TensorPowerElement
@@ -41,8 +40,7 @@ from .tensorops import _sum_terms
 from .words import merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-# the highest component degree the membership oracle and the normal form
-# build an echelon for
+# the highest component degree the membership oracle builds an echelon for
 MAX_ORACLE_DEGREE = 8
 
 
@@ -63,13 +61,10 @@ class Matroid:
         self._rank_fn = rank_fn
         self._cache: dict[frozenset, int] = {}
         # ideal component echelons of the membership oracle: one per
-        # letter and circuit pattern, and the (renaming, echelon,
-        # pattern) of each (place degrees, content, m) met; see
-        # _ideal_echelon.  _quotients holds, per pattern, the reduced
-        # form the normal form reduces against; see _quotient
+        # letter and dependence pattern, and the (renaming, echelon) of
+        # each (place degrees, content, m) met; see _ideal_echelon
         self._pattern_echelons: dict[tuple, tuple] = {}
         self._ideal_echelons: dict[tuple, tuple] = {}
-        self._quotients: dict[tuple, dict] = {}
         self._spot_check()
 
     def rank(self, subset: Iterable[str]) -> int:
@@ -212,8 +207,10 @@ def _json_text(value) -> str:
 class WhitneyElement:
     """A letterplace representative of a Whitney algebra element.
 
-    Equality is equality of normal forms over the same matroid, which
-    is equality of classes (see :func:`wh_normal_form`).
+    Equality is equality of normal forms over the same matroid: equal
+    normal forms mean equal classes, but the normal form is not
+    complete, so two equal classes can compare unequal (see
+    :func:`wh_normal_form`).
     """
 
     __slots__ = ("matroid", "raw")
@@ -266,63 +263,28 @@ class WhitneyElement:
         return f"WhitneyElement({self.matroid.name}, {self.raw!r})"
 
 
+def _drop_dead_rows(x: BitableauElement, matroid: Matroid) -> BitableauElement:
+    """``x`` without the products that contain a dependent row."""
+    return x._like({rows: c for rows, c in x.num.items()
+                    if all(matroid.is_independent_word(r.word) for r in rows)})
+
+
 def wh_normal_form(e: WhitneyElement,
                    components: dict | None = None) -> BitableauElement:
-    """The normal form of the class of ``e``: zero exactly when ``e``
-    lies in the defining ideal over the rationals, and equal for two
-    elements exactly when their classes are equal.  ``components``,
-    when given, is the split of ``e.raw`` that
-    :func:`standard_expansion` takes.
+    """Expand in the doubly standard basis and delete every product
+    that contains a dependent row; ``components``, when given, is the
+    split of ``e.raw`` that :func:`standard_expansion` takes.
 
-    The element is expanded in the doubly standard basis and every
-    product that contains a dependent row is deleted: such a product
-    is a monomial multiple of a dependent-word biproduct, a generator of
-    the ideal.  Deletion alone leaves some members nonzero, such as
-    ``(bcf|1^3)(a|2)`` when ``bcf`` is dependent in rank 3, so what is
-    left of each component is reduced against the component of the
-    ideal on the live products, those whose rows are all independent
-    (see :func:`_quotient`).  The result is a combination of live
-    doubly standard products.  Each component that is left after the
-    deletion is checked against ``MAX_ORACLE_DEGREE`` before any
-    echelon is looked up or built.
+    Every deleted product contains a dependent-word biproduct, which is
+    a generator of the defining ideal, so the class is preserved; the
+    surviving products are the doubly standard products whose rows are
+    all independent.  The deletion is sound, not complete: equal normal
+    forms mean equal classes, but some members of the ideal keep a
+    nonzero normal form, such as ``(bcf|1^3)(a|2)`` when ``bcf`` is
+    dependent in rank 3.  :func:`ideal_membership_bruteforce` decides
+    membership.
     """
-    x = standard_expansion(e.raw, components)
-    matroid = e.matroid
-    live: dict[tuple, dict] = {}
-    for rows, c in x.num.items():
-        if _is_live(rows, matroid):
-            live.setdefault(_rows_component(rows), {})[rows] = c
-    _check_degrees(live, MAX_ORACLE_DEGREE)
-    out: dict[Rows, int] = {}
-    for (pdeg_t, content_t), vec in live.items():
-        renaming, reduced = _quotient(matroid, pdeg_t, content_t, e.m)
-        rest = linalg.remainder(reduced, _renamed_rows(vec, renaming))
-        if any(type(c) is not int for c in rest.values()):
-            raise ArithmeticError(f"the normal form of {e!r} is not integral")
-        out.update(_renamed_rows(rest, _inverse(renaming)))
-    return x._like(out)
-
-
-def _is_live(rows: Rows, matroid: Matroid) -> bool:
-    """Whether every row of a product has an independent word."""
-    return all(matroid.is_independent_word(r.word) for r in rows)
-
-
-def _rows_component(rows: Rows) -> tuple:
-    """The (place degrees, letter content) key of a product of rows, as
-    :func:`_graded_components` writes it."""
-    places = sorted(p for r in rows for p, q in r.degrees for _ in range(q))
-    letters = sorted(x for r in rows for x in r.word)
-    return _counts(tuple(places)), _counts(tuple(letters))
-
-
-def _check_degrees(components, max_degree: int) -> None:
-    """Refuse, before anything is built, a component key of degree
-    above ``max_degree``."""
-    for pdeg_t, _ in components:
-        degree = sum(q for _, q in pdeg_t)
-        if degree > max_degree:
-            raise ValueError(f"component of degree {degree} exceeds the configured limit")
+    return _drop_dead_rows(standard_expansion(e.raw, components), e.matroid)
 
 
 # -- brute-force ideal membership -------------------------------------
@@ -352,17 +314,16 @@ def _monomials_with(content: dict[str, int], pdeg: dict[int, int], m: int):
 
 
 def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
-                   m: int) -> tuple[dict | None, linalg.SparseEchelon, tuple]:
-    """``(renaming, echelon, pattern)`` of the ideal component with place
-    degrees ``pdeg_t`` and letter content ``content_t`` in m places.
+                   m: int) -> tuple[dict | None, linalg.SparseEchelon]:
+    """``(renaming, echelon)`` of the ideal component with place degrees
+    ``pdeg_t`` and letter content ``content_t`` in m places.
 
     The component depends on its letters only through their order and
     which subsets of them are dependent, which its circuits fix, so the
     matroid keeps one echelon per letter pattern and circuit pattern, in
     ``_pattern_echelons``; ``renaming`` sends the component's letters
-    onto that echelon's, in order, and is None when they are the same;
-    ``pattern`` is the key of the echelon in ``_pattern_echelons``.
-    ``_ideal_echelons`` keeps the triple per component, so each
+    onto that echelon's, in order, and is None when they are the same.
+    ``_ideal_echelons`` keeps the pair per component, so each
     component's circuits are worked out once.  Both live as long as the
     matroid; callers only reduce against the echelon.
     """
@@ -371,38 +332,10 @@ def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
     if hit is None:
         pattern, letters = _letter_pattern(pdeg_t, content_t)
         circuits = _circuits(matroid, letters)
-        renaming, echelon = _shared_echelon(
+        hit = matroid._ideal_echelons[key] = _shared_echelon(
             matroid._pattern_echelons, (pattern, circuits), letters,
             lambda: _build_ideal_echelon(pdeg_t, content_t, m, circuits))
-        hit = matroid._ideal_echelons[key] = (renaming, echelon, (pattern, circuits))
     return hit
-
-
-def _quotient(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
-              m: int) -> tuple[dict | None, dict]:
-    """``(renaming, reduced)`` for the normal form of a component:
-    ``reduced`` is the reduced echelon form of the ideal component
-    written in the doubly standard products whose rows are all
-    independent, on the letters of the component's ideal echelon, which
-    ``renaming`` (see :func:`_ideal_echelon`) sends the component's onto.
-
-    The ideal component holds every product with a dependent row, so
-    deleting those from its vectors leaves exactly the vectors of the
-    ideal with no such product: a live vector lies in the ideal exactly
-    when it lies in the span of ``reduced``, and its remainder against
-    ``reduced`` is the same for every vector of its class.  It is built
-    once per pattern, from the rows of the echelon, beside it in
-    ``_quotients``.
-    """
-    renaming, ideal, pattern = _ideal_echelon(matroid, pdeg_t, content_t, m)
-    reduced = matroid._quotients.get(pattern)
-    if reduced is None:
-        live = linalg.SparseEchelon()
-        for row, _, _ in ideal.rows.values():
-            x = standard_expansion(LetterplaceElement._trusted(dict(row), 1, m))
-            live.insert({rows: c for rows, c in x.num.items() if _is_live(rows, matroid)})
-        reduced = matroid._quotients[pattern] = live.reduced()
-    return renaming, reduced
 
 
 def _circuits(matroid: Matroid, letters: Sequence[str]) -> tuple:
@@ -480,9 +413,12 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     """
     if components is None:
         components = _graded_components(e)
-    _check_degrees(components, max_degree)
+    for pdeg_t, _ in components:
+        degree = sum(q for _, q in pdeg_t)
+        if degree > max_degree:
+            raise ValueError(f"component of degree {degree} exceeds the configured limit")
     for (pdeg_t, content_t), vec in components.items():
-        renaming, echelon, _ = _ideal_echelon(matroid, pdeg_t, content_t, e.m)
+        renaming, echelon = _ideal_echelon(matroid, pdeg_t, content_t, e.m)
         if echelon.reduce(_renamed(vec, renaming)):
             return False
     return True

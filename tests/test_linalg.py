@@ -227,31 +227,6 @@ def test_sparse_echelon_against_the_reference(case):
         typed(ref_rref([dense(v, ncols) for v in vecs]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(labelled_vectors())
-def test_remainder_against_the_reference(case):
-    # vec less a combination of the reduced rows, zero at every pivot,
-    # and empty exactly on the span: the reference's remainder
-    ncols, vecs, probes = case
-    echelon = linalg.SparseEchelon()
-    for vec in vecs:
-        echelon.insert(vec)
-    reduced = echelon.reduced()
-    red, pivots = ref_rref([dense(v, ncols) for v in vecs])
-    for vec in probes:
-        want = dense(vec, ncols)
-        for row, p in zip(red, pivots):
-            want = [a - want[p] * b for a, b in zip(want, row)]
-        rest = linalg.remainder(reduced, vec)
-        assert dense(rest, ncols) == want
-        assert 0 not in rest.values() and all(map(exact, rest.values()))
-        assert not set(rest) & set(pivots)
-    # unit pivots keep an integer vector integral
-    unit = {0: {0: 1, 2: 3}, 1: {1: 1, 2: -2}}
-    assert linalg.remainder(unit, {0: 2, 1: 1, 2: 1}) == {2: -3}
-    assert linalg.remainder({0: {0: 2, 1: 1}}, {0: 1}) == {1: Fraction(-1, 2)}
-
-
 @pytest.mark.parametrize("name,args", [
     ("rref", ([[1, 2], [3, 4]],)),
     ("rank", ([[1, 2], [3, 4]],)),
