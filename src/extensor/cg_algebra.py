@@ -63,6 +63,8 @@ class PeanoSpace:
         (n-b, a+b-n), the right mode slices the second with type
         (a+b-n, n-a).  Steps short of the dimension give zero.
         """
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown meet side {side!r}")
         n = self.dim
         if a.dim != n or b.dim != n:
             raise DimensionMismatch("meet needs elements of the ambient space")
@@ -75,12 +77,10 @@ class PeanoSpace:
             sl, x = a.slice((n - sb, sa + sb - n)), b
             images = ((w2, c * br) for (w1, w2), c in sl.num.items()
                       for br in [self._bracket_word(w1, x, True)] if br)
-        elif side == "right":
+        else:
             sl, x = b.slice((sa + sb - n, n - sa)), a
             images = ((w1, c * br) for (w1, w2), c in sl.num.items()
                       for br in [self._bracket_word(w2, x, False)] if br)
-        else:
-            raise ValueError(f"unknown meet side {side!r}")
         return ExteriorElement._trusted(
             _sum_terms(images), sl.den * x.den * self._inverse[1], n)
 
@@ -136,7 +136,8 @@ def join(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
 class OrderedBasis:
     """An ordered basis of the space, carrying its Hodge star operator."""
 
-    __slots__ = ("vectors", "F", "_to_basis", "_from_basis", "_stars")
+    __slots__ = ("vectors", "F", "_to_basis", "_from_basis", "_stars",
+                 "_to_prefixes", "_from_prefixes")
 
     def __init__(self, vectors: Sequence):
         vecs = [as_vector(v) for v in vectors]
@@ -157,6 +158,9 @@ class OrderedBasis:
             for j in range(n)]
         # star image of e_word, filled one word at a time by star()
         self._stars: dict = {}
+        # the substitute prefix tables of _to_basis and _from_basis
+        self._to_prefixes: dict = {}
+        self._from_prefixes: dict = {}
 
     @property
     def dim(self) -> int:
@@ -174,7 +178,9 @@ class OrderedBasis:
         table from a word w to the star of e_w.  When one word of the
         element is not in the table yet, its image is computed and
         stored; when several are missing, one rewrite covers them all
-        and nothing is stored.
+        and nothing is stored.  A rewrite is two substitutions, into
+        the basis and back, and the basis keeps the word-prefix table
+        of each, so every prefix image is wedged once per basis.
         """
         n = self.dim
         if a.dim != n:
@@ -194,13 +200,13 @@ class OrderedBasis:
     def _rewrite_star(self, a: ExteriorElement) -> ExteriorElement:
         """The star by rewriting a in this basis and back."""
         n = self.dim
-        in_basis = substitute(a, self._to_basis)
+        in_basis = substitute(a, self._to_basis, self._to_prefixes)
         full = range(1, n + 1)
         starred = {comp: merge_words(word, comp)[0] * c
                    for word, c in in_basis.num.items()
                    for comp in [tuple(i for i in full if i not in word)]}
         return substitute(ExteriorElement._trusted(starred, in_basis.den, n),
-                          self._from_basis)
+                          self._from_basis, self._from_prefixes)
 
     def star_tensor(self, t) -> "TensorPowerElement":
         """The star applied to every fold of a tensor power element."""

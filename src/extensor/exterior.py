@@ -15,6 +15,10 @@ pure.
 
 The wedge, the slice and :func:`substitute` run on the numerators alone;
 word merges and slices are table lookups in :mod:`extensor.words`.
+:func:`substitute` wedges the image of each word prefix once per prefix
+table, and a caller that applies the same images many times (an
+:class:`~extensor.cg_algebra.OrderedBasis` star) keeps one table across
+calls.
 Extensors are built fraction-free: each vector is scaled to integers
 once, the integer vectors are wedged as numerator maps, and one element
 is built at the end.  :func:`extensor_span` hands the integer
@@ -188,12 +192,18 @@ def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
     return ExteriorElement._trusted(num, den, dim)
 
 
-def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> ExteriorElement:
+def substitute(a: ExteriorElement, images: Sequence[ExteriorElement],
+               prefixes: dict | None = None) -> ExteriorElement:
     """Apply the algebra morphism sending basis vector i to images[i-1].
 
     The images are written over one common denominator ``d``, so the
-    image of a word of length k has numerators over ``d**k``; the image
-    of each word prefix is wedged once per call.
+    image of a word of length k has numerators over ``d**k``.  The image
+    of each word prefix is wedged once per prefix table: ``prefixes``
+    maps a word to its image numerators and is filled as words are met.
+    A caller that substitutes many elements with the same ``images``
+    can keep one table for them; it is valid only for those images.
+    Without a table, each call starts a fresh one.  The result is the
+    same either way.
     """
     if len(images) != a.dim:
         raise DimensionMismatch("need one image per basis vector")
@@ -203,7 +213,9 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> Exterio
             raise DimensionMismatch(f"dim {tdim} and {x.dim} differ")
     d = lcm(*(x.den for x in images))
     nums = [{w: n * (d // x.den) for w, n in x.num.items()} for x in images]
-    prefixes: dict = {(): {(): 1}}
+    if prefixes is None:
+        prefixes = {}
+    prefixes.setdefault((), {(): 1})
 
     def image(word):
         out = prefixes.get(word)

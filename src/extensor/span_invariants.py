@@ -26,6 +26,7 @@ from .words import inversions
 def in_span(x: ExteriorElement, elements: Sequence[ExteriorElement]) -> bool:
     echelon = linalg.SparseEchelon()
     for e in elements:
+        x._check(e)
         echelon.insert(e.num)
     return not echelon.reduce(x.num)
 
@@ -60,20 +61,36 @@ class MinimalRepresentation:
             for (left, right), d in zip(self.pairs, dens)), common, self.dim, 2)
 
 
+# the last tensor factored, matched by identity, and its checked
+# representation; elements are immutable, so the pair stays valid
+_last: tuple = (None, None)
+
+
 def minimal_representation(t: TensorPowerElement) -> MinimalRepresentation:
     """Exact rank factorization of a two-fold tensor.
 
     The number of pairs is the rank of the coefficient matrix, both
     factor lists are independent, and the pairs reconstruct the tensor
     exactly.  The zero tensor gives the empty representation.
+
+    The last tensor factored is kept, held by reference, together with
+    its representation, so ``minimal_representation``, ``left_span``
+    and ``right_span`` on one tensor object factor it once.  Every
+    tensor factored is checked against its reconstruction, and a
+    failed factorization is not kept.
     """
+    global _last
     if t.m != 2:
         raise ValueError("minimal representations are defined for two folds")
     if not t:
         return MinimalRepresentation((), t.dim)
+    last, rep = _last
+    if last is t:
+        return rep
     rep = MinimalRepresentation(tuple(_rank_factor_pairs(t)), t.dim)
     if rep.tensor() != t:
         raise AssertionError("rank factorization failed to reconstruct the tensor")
+    _last = (t, rep)
     return rep
 
 
@@ -147,6 +164,8 @@ class GeneralizedHodge:
             raise ValueError("left family is dependent")
 
     def __call__(self, x: ExteriorElement) -> ExteriorElement:
+        if x.dim != self._rep.dim:
+            raise DimensionMismatch(f"dim {self._rep.dim} and {x.dim} differ")
         coords: dict = {}
         if self._echelon.reduce(x.num, coords):
             raise ValueError("element outside the left span")

@@ -60,6 +60,8 @@ class Matroid:
         self.name = name or f"matroid({''.join(self.ground)})"
         self._rank_fn = rank_fn
         self._cache: dict[frozenset, int] = {}
+        # circuits among each sorted letter tuple met; see _circuits
+        self._circuits: dict[tuple, tuple] = {}
         # ideal component echelons of the membership oracle: one per
         # letter and dependence pattern, and the (renaming, echelon) of
         # each (place degrees, content, m) met; see _ideal_echelon
@@ -339,10 +341,15 @@ def _ideal_echelon(matroid: Matroid, pdeg_t: tuple, content_t: tuple,
 
 
 def _circuits(matroid: Matroid, letters: Sequence[str]) -> tuple:
-    """Index tuples of the circuits among ``letters``, the minimal
-    dependent subsets, smallest first.  A subset that holds a circuit
-    found before it is dependent and not minimal, so it is skipped
-    without a rank query."""
+    """Index tuples of the circuits among the sorted ``letters``, the
+    minimal dependent subsets, smallest first.  A subset that holds a
+    circuit found before it is dependent and not minimal, so it is
+    skipped without a rank query.  The matroid keeps the answer per
+    letter tuple, which components of other place degrees share."""
+    key = tuple(letters)
+    hit = matroid._circuits.get(key)
+    if hit is not None:
+        return hit
     circuits, masks = [], []
     for size in range(1, len(letters) + 1):
         for sub in combinations(range(len(letters)), size):
@@ -352,7 +359,8 @@ def _circuits(matroid: Matroid, letters: Sequence[str]) -> tuple:
             if not matroid.is_independent(letters[i] for i in sub):
                 circuits.append(sub)
                 masks.append(mask)
-    return tuple(circuits)
+    hit = matroid._circuits[key] = tuple(circuits)
+    return hit
 
 
 def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,

@@ -100,6 +100,14 @@ class TestMeet:
             a, b, c = (rand_extensor(rng, 3, 2) for _ in range(3))
             assert ps.meet(ps.meet(a, b), c) == ps.meet(a, ps.meet(b, c))
 
+    def test_rejects_an_unknown_side_before_any_shortcut(self):
+        ps = PeanoSpace.standard(3)
+        for a, b in ((ExteriorElement.zero(3), e(3, 1, 2)),   # zero operand
+                     (e(3, 1), e(3, 2)),                      # steps short of 3
+                     (e(3, 1, 2), e(3, 2, 3))):
+            with pytest.raises(ValueError, match="unknown meet side"):
+                ps.meet(a, b, "bogus")
+
     def test_rejects_mixed_grade(self):
         ps = PeanoSpace.standard(3)
         mixed = e(3, 1) + e(3, 1, 2)

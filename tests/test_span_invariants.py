@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from extensor import linalg
+from extensor import linalg, span_invariants
 from extensor.cg_algebra import standard_basis
-from extensor.exterior import ExteriorElement, make_extensor, unit_vector
-from extensor.span_invariants import (dagger_representation,
+from extensor.exterior import (DimensionMismatch, ExteriorElement, make_extensor,
+                               unit_vector)
+from extensor.span_invariants import (GeneralizedHodge, dagger_representation,
                                       generalized_hodge, geometric_product_sum,
                                       in_span, left_span, minimal_representation,
                                       pairing_beta, right_span,
@@ -81,6 +82,92 @@ class TestMinimalRepresentation:
     def test_rejects_three_folds(self):
         with pytest.raises(ValueError):
             minimal_representation(TensorPowerElement.unit(3, 3))
+
+
+class TestLastFactorization:
+    """minimal_representation keeps the last tensor it factored."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        real = span_invariants._rank_factor_pairs
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+        monkeypatch.setattr(span_invariants, "_rank_factor_pairs", counted)
+        return calls
+
+    def test_spans_are_the_representation_factors(self):
+        rng = random.Random(3)
+        for _ in range(10):
+            t = rand_tensor(rng, 4)
+            rep = minimal_representation(t)
+            assert left_span(t) == rep.lefts
+            assert right_span(t) == rep.rights
+
+    def test_criterion_03_triple_factors_once(self, factorizations):
+        a = make_extensor([(1, 2, 0, 1), (0, 1, 3, 1)])
+        b = make_extensor([(1, 0, 1, 2), (2, 1, 0, 0)])
+        g = diamond(1, 2, 1, TensorPowerElement.from_elements([a, b]))
+        rep = minimal_representation(g)
+        lefts, rights = left_span(g), right_span(g)
+        assert len(factorizations) == 1
+        assert rep.rank == len(lefts) == len(rights) == 2
+
+    def test_alternating_tensors_get_their_own_representation(self, factorizations):
+        rng = random.Random(4)
+        s, t = rand_tensor(rng, 4), rand_tensor(rng, 4)
+        want = {id(x): minimal_representation(x) for x in (s, t)}
+        for x in (s, t, s, t):
+            assert minimal_representation(x) == want[id(x)]
+            assert minimal_representation(x).tensor() == x
+        assert len(factorizations) == 6
+
+    def test_equal_tensor_of_another_identity_is_factored_again(self, factorizations):
+        rng = random.Random(5)
+        t = rand_tensor(rng, 4)
+        copy = TensorPowerElement(t.dim, 2, t.terms)
+        assert minimal_representation(t) == minimal_representation(copy)
+        assert len(factorizations) == 2
+
+    def test_a_failed_factorization_raises_and_is_not_kept(self, monkeypatch):
+        rng = random.Random(6)
+        t = rand_tensor(rng, 4)
+        while not t:
+            t = rand_tensor(rng, 4)
+        real = span_invariants._rank_factor_pairs
+        wrong = (ExteriorElement.unit(4), ExteriorElement.monomial(4, (1,)))
+        monkeypatch.setattr(span_invariants, "_rank_factor_pairs",
+                            lambda t: [wrong])
+        with pytest.raises(AssertionError):
+            minimal_representation(t)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+        monkeypatch.setattr(span_invariants, "_rank_factor_pairs", counted)
+        assert minimal_representation(t).tensor() == t
+        assert calls == [t]
+
+
+class TestDimensionChecks:
+    def test_generalized_hodge_refuses_another_dimension(self):
+        a = ExteriorElement.monomial(3, (1, 2))
+        b = ExteriorElement.monomial(3, (3,))
+        star = GeneralizedHodge(minimal_representation(
+            TensorPowerElement.from_elements([a, b])))
+        assert star(a) == b
+        with pytest.raises(DimensionMismatch):
+            star(ExteriorElement.monomial(4, (1, 2)))
+
+    def test_in_span_refuses_another_dimension(self):
+        assert in_span(ExteriorElement.monomial(3, (1,)),
+                       [ExteriorElement.monomial(3, (1,))])
+        with pytest.raises(DimensionMismatch):
+            in_span(ExteriorElement.monomial(4, (1,)),
+                    [ExteriorElement.monomial(3, (1,))])
 
 
 class TestRepresentationFacts:

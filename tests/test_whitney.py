@@ -584,6 +584,23 @@ class TestCircuitGenerators:
         for (_, subsets), (own, _) in matroid._pattern_echelons.items():
             assert all(is_circuit(matroid, [own[i] for i in sub]) for sub in subsets)
 
+    def test_a_second_component_with_the_same_letters_makes_no_rank_query(
+            self, monkeypatch):
+        matroid = six_point_matroid()
+        first = LetterplaceElement.from_vars(2, [("a", 1), ("b", 1), ("d", 2)])
+        second = LetterplaceElement.from_vars(2, [("a", 2), ("b", 2), ("d", 1)])
+        assert not ideal_membership_bruteforce(first, matroid)
+        queries = []
+        real = matroid.rank
+        monkeypatch.setattr(matroid, "rank", lambda s: queries.append(s) or real(s))
+        assert not ideal_membership_bruteforce(second, matroid)
+        assert queries == []
+        assert len(matroid._ideal_echelons) == 2
+        assert list(matroid._circuits) == [("a", "b", "d")]
+        # the kept circuits are those a fresh matroid works out
+        assert matroid._circuits[("a", "b", "d")] == whitney._circuits(
+            fresh_copy(matroid), ("a", "b", "d"))
+
     def test_a_dependent_superset_is_not_a_generator(self, echelon_builds):
         # in U(4,2) every triple of abcd is a circuit; abcd is dependent
         # but holds one
