@@ -63,8 +63,7 @@ class PeanoSpace:
         (n-b, a+b-n), the right mode slices the second with type
         (a+b-n, n-a).  Steps short of the dimension give zero.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"unknown meet side {side!r}")
+        _check_side(side)
         n = self.dim
         if a.dim != n or b.dim != n:
             raise DimensionMismatch("meet needs elements of the ambient space")
@@ -122,10 +121,16 @@ class PeanoSpace:
     def meet_chain(self, first: ExteriorElement, *rest: ExteriorElement,
                    side: str = "left") -> ExteriorElement:
         """Iterated meet, nested left to right."""
+        _check_side(side)
         acc = first
         for x in rest:
             acc = self.meet(acc, x, side)
         return acc
+
+
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown meet side {side!r}")
 
 
 def join(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:

@@ -107,6 +107,9 @@ class TestMeet:
                      (e(3, 1, 2), e(3, 2, 3))):
             with pytest.raises(ValueError, match="unknown meet side"):
                 ps.meet(a, b, "bogus")
+        # a chain with nothing to meet checks its side too
+        with pytest.raises(ValueError, match="unknown meet side"):
+            ps.meet_chain(e(3, 1, 2), side="bogus")
 
     def test_rejects_mixed_grade(self):
         ps = PeanoSpace.standard(3)
