@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from itertools import combinations, product
+from math import comb, prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from extensor import bitableau, linalg
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
-                                _compositions, _first_violation, _rewrite_pair,
-                                _standard_candidates, _straighten_key,
+                                _compositions, _degree_moves, _first_violation,
+                                _rewrite_pair, _row_coder, _standard_candidates,
+                                _straighten_key,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
@@ -288,6 +291,10 @@ def biproducts(draw, letters="abcde"):
 
 row_tuples = st.lists(biproducts(), max_size=3).map(tuple)
 
+# letters whose string order is not their numeric order
+MULTI_LETTERS = ("a", "x1", "x10", "x2", "x20")
+multi_letter_row_tuples = st.lists(biproducts(MULTI_LETTERS), max_size=3).map(tuple)
+
 
 @st.composite
 def row_tuple_pairs(draw):
@@ -308,6 +315,31 @@ def row_tuple_pairs(draw):
     return a, b
 
 
+@st.composite
+def coder_inputs(draw):
+    """Row tuples of several lengths and contents, one-letter or
+    multi-character letters, on up to five places next to each other or
+    far apart; and the row tuples one rewrite step of each makes."""
+    letters = draw(st.sampled_from(("abcde", MULTI_LETTERS)))
+    places = draw(st.sampled_from(((1, 2, 3, 4, 5), (2, 3, 7, 10, 99999999999))))
+
+    @st.composite
+    def spread_rows(draw):
+        word = tuple(sorted(draw(st.sets(st.sampled_from(letters), min_size=1, max_size=3))))
+        degrees = draw(degrees_for(len(word), len(places)))
+        return Biproduct(word, tuple((places[p - 1], q) for p, q in degrees))
+
+    terms = draw(st.lists(st.lists(spread_rows(), max_size=3).map(tuple),
+                          min_size=1, max_size=6))
+    reached = []
+    for rows in terms:
+        idx = _first_violation(rows)
+        if idx is not None:
+            reached.extend(rows[:idx] + new + rows[idx + 2:]
+                           for _, new in _rewrite_pair(rows[idx], rows[idx + 1]))
+    return terms, reached
+
+
 class TestStraightenInvariants:
     @settings(max_examples=300, deadline=None)
     @given(row_tuple_pairs())
@@ -318,6 +350,25 @@ class TestStraightenInvariants:
         ka, kb = _straighten_key(a), _straighten_key(b)
         assert (ka == kb) == (a == b)
         sorted([(ka, a), (kb, b)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(coder_inputs())
+    # more places than letters or word lengths: the place digits need
+    # their own room
+    @example(([(Biproduct((x,), ((p, 1),)),) for x in "ab" for p in range(1, 6)], []))
+    def test_row_codes_order_as_the_key_and_tell_rows_apart(self, inputs):
+        # codes sized from the input terms must also order the rows that
+        # one rewrite step of them makes
+        terms, reached = inputs
+        code = _row_coder(terms)
+        rows_list = terms + reached
+        coded = [(sum(len(r.word) for r in rows), tuple(map(code, rows)))
+                 for rows in rows_list]
+        for a, ca in zip(rows_list, coded):
+            for b, cb in zip(rows_list, coded):
+                ka, kb = _straighten_key(a), _straighten_key(b)
+                assert (ca < cb) == (ka < kb)
+                assert (ca == cb) == (a == b)
 
     @settings(max_examples=150, deadline=None)
     @given(biproducts(), biproducts())
@@ -355,10 +406,14 @@ class TestFlatKernelsAgainstSecondRoutes:
             want = want + row_product_reference(rows, m).scale(c)
         assert e.to_letterplace() == want
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(row_tuples, st.integers(-3, 3)), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(st.tuples(row_tuples, st.integers(-3, 3)), min_size=1, max_size=3),
+        st.lists(st.tuples(multi_letter_row_tuples, st.integers(-3, 3)),
+                 min_size=1, max_size=3)))
     def test_straighten_agrees_with_the_reference(self, terms):
-        # sums of products, so that terms of other contents interleave
+        # sums of products, so that terms of other contents interleave;
+        # one-letter or multi-character letters
         e = BitableauElement(3, _sum_terms(terms))
         want, steps = reference_straighten(e)
         got = straighten(e, budget=steps)
@@ -373,6 +428,32 @@ def test_compositions_are_the_filtered_product(caps):
     for total in range(sum(caps) + 2):
         want = [r for r in product(*(range(c + 1) for c in caps)) if sum(r) == total]
         assert list(_compositions(total, caps)) == want
+
+
+def _all_degrees(places=(1, 2, 3), most=4):
+    """Every normalized place multidegree over ``places`` of total at
+    most ``most``."""
+    for exps in product(range(most + 1), repeat=len(places)):
+        if sum(exps) <= most:
+            yield tuple((p, q) for p, q in zip(places, exps) if q)
+
+
+@pytest.mark.parametrize("usize", range(5))
+def test_degree_moves_are_the_filtered_product(usize):
+    # every place vector r below the lower degrees with total usize + 1,
+    # in product order, with its binomial weight and the moved degrees
+    with patch.dict(bitableau._move_tables, clear=True):
+        for up, down in product(list(_all_degrees()), repeat=2):
+            want = []
+            for r in product(*(range(q + 1) for _, q in down)):
+                if sum(r) != usize + 1:
+                    continue
+                extra = Counter(dict(zip((p for p, _ in down), r)))
+                weight = prod(comb(dict(up).get(p, 0) + k, k) for p, k in extra.items())
+                want.append((weight, tuple(sorted((Counter(dict(up)) + extra).items())),
+                             tuple(sorted((Counter(dict(down)) - extra).items()))))
+            assert list(_degree_moves(up, down, usize)) == want
+            assert _degree_moves(up, down, usize) is _degree_moves(up, down, usize)
 
 
 class TestStandardExpansion:
