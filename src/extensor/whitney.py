@@ -32,11 +32,10 @@ from .bitableau import BitableauElement, standard_expansion
 # re-exported: the benchmark tests look it up as whitney.straighten
 from .bitableau import straighten  # noqa: F401
 from .exterior import as_vector, make_extensor
-from .letterplace import (LetterplaceElement, _expand_biproduct,
+from .letterplace import (LetterplaceElement, _counts, _expand_biproduct,
                           _graded_components, _letter_pattern, _merge_monomials,
                           _renamed, _shared_echelon, _var_key, phi)
 from .tensor_power import TensorPowerElement
-from .tensorops import _sum_terms
 from .words import merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -126,7 +125,14 @@ class Matroid:
 
     @classmethod
     def uniform(cls, n: int, k: int, letters: Sequence[str] | None = None) -> "Matroid":
+        if n < 0:
+            raise ValueError(f"uniform matroid size n = {n} must be at least 0")
+        if not 0 <= k <= n:
+            raise ValueError(f"uniform matroid rank k = {k} is outside 0..{n}")
         if letters is None:
+            if n > len(DEFAULT_LETTERS):
+                raise ValueError(f"only {len(DEFAULT_LETTERS)} default letters exist, "
+                                 f"so n = {n} needs 'letters'")
             letters = DEFAULT_LETTERS[:n]
         if len(letters) != n:
             raise ValueError("need one letter per element")
@@ -441,9 +447,27 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
     With k the corank of the union, the left side sums u v2 in the
     first place against v1 in the second over the (k, q-k) slices of v;
     the right side sums u1 v against u2 over the (p-k, k) slices of u.
+    :func:`_add_exchange_terms` writes them, each into its own dict.
+    """
+    lhs: dict = {}
+    rhs: dict = {}
+    _add_exchange_terms(u, v, matroid, lhs, rhs, 1)
+    return LetterplaceElement._trusted(lhs, 1, 2), LetterplaceElement._trusted(rhs, 1, 2)
+
+
+def _add_exchange_terms(u: Sequence[str], v: Sequence[str], matroid: Matroid,
+                        left: dict, right: dict, sign: int) -> tuple:
+    """Add the left side of the exchange relation for u, v into
+    ``left`` and ``sign`` times its right side into ``right``, and return
+    the one :func:`_graded_components` key of every monomial of both
+    sides.  Keys that cancel stay at zero for the trusted constructor to
+    drop.
+
     Both sides are alternating in the letters of u and of v, so u and v
     are sorted once, with their signs; each place-1 word is then one
     merge of sorted words and each place-2 word a slice of a sorted one.
+    Every monomial has p+q-k letters in place 1, k in place 2 and the
+    letters of u and v, so the key comes from p, q, k and the words.
     """
     u, v = tuple(u), tuple(v)
     for word in (u, v):
@@ -454,25 +478,43 @@ def exchange_sides(u: Sequence[str], v: Sequence[str],
     su, u = sort_word(u)
     sv, v = sort_word(v)
     sign_uv = su * sv
-    lhs = _sum_terms((_two_places(one, v1), sign_uv * sign * s)
-                     for sign, (v1, v2) in word_slices(v, (k, q - k))
-                     for s, one in [merge_words(u, v2)] if s)
-    rhs = _sum_terms((_two_places(one, u2), sign_uv * sign * s)
-                     for sign, (u1, u2) in word_slices(u, (p - k, k))
-                     for s, one in [merge_words(u1, v)] if s)
-    return LetterplaceElement._trusted(lhs, 1, 2), LetterplaceElement._trusted(rhs, 1, 2)
+    for s, (v1, v2) in word_slices(v, (k, q - k)):
+        t, one = merge_words(u, v2)
+        if t:
+            mono = _two_places(one, v1)
+            left[mono] = left.get(mono, 0) + sign_uv * s * t
+    sign_uv *= sign
+    for s, (u1, u2) in word_slices(u, (p - k, k)):
+        t, one = merge_words(u1, v)
+        if t:
+            mono = _two_places(one, u2)
+            right[mono] = right.get(mono, 0) + sign_uv * s * t
+    places = tuple((place, n) for place, n in ((1, p + q - k), (2, k)) if n)
+    return places, _counts(tuple(sorted(u + v)))
 
 
 def _two_places(one: tuple, two: tuple) -> tuple:
     """The canonical monomial of sorted words in places 1 and 2."""
-    return tuple((x, 1) for x in one) + tuple((x, 2) for x in two)
+    return tuple([(x, 1) for x in one] + [(x, 2) for x in two])
+
+
+def _exchange_difference(u: Sequence[str], v: Sequence[str],
+                         matroid: Matroid) -> tuple[LetterplaceElement, dict]:
+    """The left side minus the right side of the exchange relation for
+    u, v, summed in one dict, and its split by place degrees and letter
+    content: that dict as its one graded component, or ``{}`` when
+    everything cancels."""
+    terms: dict = {}
+    key = _add_exchange_terms(u, v, matroid, terms, terms, -1)
+    diff = LetterplaceElement._trusted(terms, 1, 2)
+    return diff, ({key: diff.num} if diff.num else {})
 
 
 def exchange_check(u: Sequence[str], v: Sequence[str], matroid: Matroid) -> bool:
-    """Exchange relation verified through both the normal form and the oracle."""
-    lhs, rhs = exchange_sides(u, v, matroid)
-    diff = lhs - rhs
-    components = _graded_components(diff)
+    """Exchange relation verified through both the normal form and the
+    oracle, which share the difference's one graded component from
+    :func:`_exchange_difference`: nothing is subtracted or split."""
+    diff, components = _exchange_difference(u, v, matroid)
     nf_zero = not wh_normal_form(WhitneyElement(matroid, diff), components)
     oracle = ideal_membership_bruteforce(diff, matroid, components=components)
     return nf_zero and oracle

@@ -455,6 +455,33 @@ class TestCommands:
         assert capsys.readouterr().err == \
             'error: unknown matroid kind [1.5, 1E-1000, -0.125, true, null, {"x": "y"}]\n'
 
+    @pytest.mark.parametrize("n, k, message", [
+        (3, 4, "uniform matroid rank k = 4 is outside 0..3"),
+        (3, -1, "uniform matroid rank k = -1 is outside 0..3"),
+        (27, 2, "only 26 default letters exist, so n = 27 needs 'letters'"),
+        (-1, 0, "uniform matroid size n = -1 must be at least 0"),
+    ])
+    def test_uniform_matroid_out_of_range_is_refused(self, tmp_path, capsys, n, k, message):
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"kind": "uniform", "n": n, "k": k}))
+        assert main(["matroid", str(path), "exchange", "--max-word", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("k, passed", [(0, "0/0"), (3, "9/9")])
+    def test_uniform_matroid_rank_at_the_ends_of_its_range(self, tmp_path, capsys, k, passed):
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"kind": "uniform", "n": 3, "k": k}))
+        assert main(["matroid", str(path), "exchange", "--max-word", "1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"matroid-exchange: {passed} passed (seed 0)\n")
+
+    def test_uniform_matroid_with_its_own_letters_can_exceed_26(self):
+        letters = [f"x{i}" for i in range(27)]
+        matroid = make_matroid({"kind": "uniform", "n": 27, "k": 2, "letters": letters})
+        assert matroid.ground == tuple(letters) and matroid.full_rank() == 2
+
     def test_long_operator_chain_evaluates(self, capsys):
         assert main(["eval", "-e", " + ".join(["e1"] * 3000)]) == 0
         assert capsys.readouterr().out == "3000 e1\n"

@@ -764,14 +764,18 @@ def test_the_whitney_path_never_sorts_a_monomial(monkeypatch):
     assert biproduct_expand(Biproduct(("a", "b", "e"), ((1, 1), (3, 2))), 3)
 
 
-def test_an_exchange_check_splits_its_difference_once(monkeypatch):
-    """The normal form and the oracle share one split of the difference,
-    and each route is still entered once per check."""
-    calls = []
+def test_an_exchange_check_hands_both_routes_one_component(monkeypatch):
+    """An exchange check splits nothing: the normal form and the oracle
+    receive one components object, equal to the split of the
+    difference of the two sides, and each route is entered once."""
+    calls, handed = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
+            if name in ("standard_expansion", "ideal_membership_bruteforce"):
+                handed.append(args[1] if name == "standard_expansion"
+                              else kwargs["components"])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -781,8 +785,67 @@ def test_an_exchange_check_splits_its_difference_once(monkeypatch):
     for name in ("wh_normal_form", "standard_expansion", "ideal_membership_bruteforce"):
         monkeypatch.setattr(whitney, name, counted(name, getattr(whitney, name)))
     matroid = six_point_matroid()
-    for u, v in (("ab", "cd"), ("bea", "fc"), ("abc", "def"), ("ce", "bf")):
-        del calls[:]
+    for u, v in (("ab", "cd"), ("bea", "fc"), ("abc", "def"), ("ce", "bf"), ("ab", "ab")):
+        lhs, rhs = exchange_sides(u, v, matroid)
+        want = letterplace._graded_components(lhs - rhs)
+        del calls[:], handed[:]
         assert exchange_check(u, v, matroid)
-        assert sorted(calls) == ["ideal_membership_bruteforce", "split",
+        assert sorted(calls) == ["ideal_membership_bruteforce",
                                  "standard_expansion", "wh_normal_form"]
+        assert handed[0] is handed[1]
+        assert handed[0] == want
+
+
+@st.composite
+def exchange_pairs(draw):
+    """A matroid and two of its independent words, each in any letter
+    order, the pairs with k = 0 and the pairs that cancel drawn often."""
+    matroid = draw(st.sampled_from(MATROIDS))
+    words = list(matroid.independent_sorted_words(3))
+    u = draw(st.sampled_from(words))
+    shape = draw(st.sampled_from(["any", "same", "k = 0"]))
+    if shape == "same":
+        v = u
+    elif shape == "k = 0":
+        free = [w for w in words if matroid.rank(set(u) | set(w)) == len(u) + len(w)]
+        v = draw(st.sampled_from(free)) if free else u
+    else:
+        v = draw(st.sampled_from(words))
+    return matroid, tuple(draw(st.permutations(u))), tuple(draw(st.permutations(v)))
+
+
+class TestOnePassDifference:
+    @settings(max_examples=300, deadline=None)
+    @given(exchange_pairs())
+    def test_matches_subtracting_and_splitting_the_sides(self, case):
+        matroid, u, v = case
+        lhs, rhs = exchange_sides(u, v, matroid)
+        want = lhs - rhs
+        diff, components = whitney._exchange_difference(u, v, matroid)
+        assert diff.terms == want.terms
+        # every monomial of either side has the one key, cancelled or not
+        key = whitney._add_exchange_terms(u, v, matroid, {}, {}, 1)
+        assert set(_graded_components(lhs)) | set(_graded_components(rhs)) == {key}
+        assert list(components.items()) == list(_graded_components(want).items())
+
+    @pytest.mark.parametrize("u, v, places", [
+        ("a", "bc", ((1, 3),)), ("ba", "c", ((1, 3),)), ("a", "fe", ((1, 3),)),
+        ("ab", "ab", ((1, 2), (2, 2))), ("bea", "bea", ((1, 3), (2, 3)))])
+    def test_pairs_that_cancel_have_no_component(self, u, v, places):
+        # with k = 0 or u = v the sides are equal, so the key is read off
+        # the left side alone; k = 0 gives no place-2 entry
+        matroid = six_point_matroid()
+        lhs, rhs = exchange_sides(u, v, matroid)
+        assert lhs == rhs
+        key = whitney._add_exchange_terms(u, v, matroid, {}, {}, -1)
+        assert [key] == list(_graded_components(lhs)) and key[0] == places
+        assert whitney._exchange_difference(u, v, matroid) == (LetterplaceElement(2), {})
+
+    def test_unsorted_words_give_the_sorted_pair_up_to_sign(self):
+        matroid = six_point_matroid()
+        diff, components = whitney._exchange_difference("ab", "ec", matroid)
+        flipped, flipped_components = whitney._exchange_difference("ba", "ec", matroid)
+        assert flipped == -diff and list(flipped_components) == list(components)
+        key, = components
+        assert key == (((1, 3), (2, 1)), (("a", 1), ("b", 1), ("c", 1), ("e", 1)))
+        assert list(components.items()) == list(_graded_components(diff).items())
