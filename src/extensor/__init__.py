@@ -18,10 +18,9 @@ from .span_invariants import (GeneralizedHodge, MinimalRepresentation,
                               dagger_representation, generalized_hodge,
                               geometric_product_sum, left_span,
                               minimal_representation, pairing_beta, right_span)
-from .letterplace import (Biproduct, FreeTensorElement, LetterplaceElement,
-                          biproduct_expand, expand_raw, ft_diamond,
-                          lp_normalize, make_biproduct, phi, phi_inv, polarize,
-                          polarize_divided)
+from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
+                          expand_raw, lp_normalize, make_biproduct, phi,
+                          phi_inv, polarize, polarize_divided)
 from .bitableau import (BitableauElement, StraighteningBudgetExceeded,
                         is_doubly_standard, is_standard,
                         shuffle_identity_sides, standard_expansion, straighten)

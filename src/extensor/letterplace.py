@@ -6,8 +6,11 @@ the square-free monomials in the canonical place-major order form a
 Z-basis.  Place polarizations move variables between places; their
 divided powers act on biproducts with integer coefficients.  The map
 :func:`phi` regroups a monomial by place into the m-fold tensor power
-of the free skew algebra on the letters and is a Z-algebra isomorphism
-intertwining divided polarizations with the geometric products there.
+of the free skew algebra on the letters, a ``TensorPowerElement`` on
+letter folds with ``den == 1``, and is a Z-algebra isomorphism onto the
+integral elements intertwining divided polarizations with the geometric
+products :func:`~extensor.tensor_power.diamond`; :func:`phi_inv` maps
+back and refuses any other element.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from . import tensorops
+from .tensor_power import TensorPowerElement
 from .tensorops import IntegerTerms, _sum_terms
 from .words import sort_with_sign, word_slices
 
@@ -326,54 +329,23 @@ def expand_raw(word: Sequence[str], degrees, m: int) -> LetterplaceElement:
 
 # -- the place-regrouping isomorphism --------------------------------
 
-class FreeTensorElement(IntegerTerms):
-    """Integer element of the m-fold tensor power of the free skew algebra."""
-
-    __slots__ = ()
-    _sort_key = staticmethod(tensorops.fold_sort_key)
-
-    def _valid_key(self, key) -> tuple[LetterWord, ...]:
-        k = tuple(tuple(str(x) for x in w) for w in key)
-        if len(k) != self.m:
-            raise ValueError(f"key {k} does not have {self.m} folds")
-        for w in k:
-            if any(a >= b for a, b in zip(w, w[1:])):
-                raise ValueError(f"fold word {w} is not strictly increasing")
-        return k
-
-    @staticmethod
-    def _key_str(key) -> str:
-        return " # ".join("".join(w) if w else "1" for w in key)
-
-    @classmethod
-    def unit(cls, m):
-        return cls(m, {((),) * m: 1})
-
-    def __mul__(self, other):
-        if not isinstance(other, FreeTensorElement):
-            return self.scale(other)
-        self._check(other)
-        return self._like(tensorops.graded_product_terms(self.num, other.num))
-
-
-def ft_diamond(h: int, j: int, i: int, t: FreeTensorElement) -> FreeTensorElement:
-    """The formal geometric product on the free tensor power."""
-    return t._like(tensorops.diamond_terms(t.num, h, j, i, t.m))
-
-
-def phi(e: LetterplaceElement) -> FreeTensorElement:
-    """Regroup each monomial by place into a pure tensor.
+def phi(e: LetterplaceElement) -> TensorPowerElement:
+    """Regroup each monomial by place into a pure tensor on letter folds.
 
     Sign-free on canonical monomials because the canonical order is
-    place-major.
+    place-major; the image is integral, ``den == 1``.
     """
     places = range(1, e.m + 1)
-    return FreeTensorElement._trusted(
+    return TensorPowerElement._trusted(
         {tuple(tuple(x for x, i in mono if i == p) for p in places): c
-         for mono, c in e.num.items()}, 1, e.m)
+         for mono, c in e.num.items()}, 1, None, e.m)
 
 
-def phi_inv(t: FreeTensorElement) -> LetterplaceElement:
+def phi_inv(t: TensorPowerElement) -> LetterplaceElement:
+    """The inverse of :func:`phi`; refuses an element that is not on
+    letter folds or has a non-integral coefficient."""
+    if t.dim is not None or t.den != 1:
+        raise ValueError("phi_inv needs an integral element on letter folds")
     return LetterplaceElement._trusted(
         {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
          for key, c in t.num.items()}, 1, t.m)

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .exterior import DimensionMismatch, ExteriorElement, as_vector, make_extensor
 from .tensor_power import TensorPowerElement, _rank_factor_pairs, diamond
-from .tensorops import outer_sum_terms
 from .words import inversions
 
 
@@ -52,13 +50,7 @@ class MinimalRepresentation:
 
     def tensor(self) -> TensorPowerElement:
         """sum(left_i (x) right_i), summed on the pairs' numerators."""
-        if any(x.dim != self.dim for pair in self.pairs for x in pair):
-            raise DimensionMismatch("pair of another dimension")
-        dens = [left.den * right.den for left, right in self.pairs]
-        common = lcm(*dens)
-        return TensorPowerElement._trusted(outer_sum_terms(
-            (common // d, [left.num, right.num])
-            for (left, right), d in zip(self.pairs, dens)), common, self.dim, 2)
+        return TensorPowerElement._pure_sum(((1, pair) for pair in self.pairs), self.dim, 2)
 
 
 # the last tensor factored, matched by identity, and its checked

@@ -1,6 +1,7 @@
 """Tensor powers of the exterior algebra with geometric products.
 
-Elements are sparse maps from m-tuples of index words to rational
+Elements are sparse maps from m-tuples of index words, or of letter
+words (the image of :func:`extensor.letterplace.phi`), to rational
 coefficients, stored as integer numerators over one denominator as in
 :mod:`extensor.exterior`, and multiplied fold-wise with the Z2-graded
 Koszul sign.  The raising and lowering operators :func:`diamond` turn
@@ -13,12 +14,12 @@ they compute.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from . import linalg, tensorops
-from .exterior import (DimensionMismatch, ExteriorElement, Word,
-                       extensor_span, _index_word, word_str)
+from .exterior import (DimensionMismatch, ExteriorElement, extensor_span,
+                       _index_word, word_str)
 from .tensorops import SparseTerms, fold_sort_key
 
 
@@ -27,33 +28,42 @@ class FoldMismatch(ValueError):
 
 
 class TensorPowerElement(SparseTerms):
-    """A sparse element of the m-fold tensor power."""
+    """A sparse element of the m-fold tensor power: its folds are index
+    words in 1..dim or, with ``dim`` None, strictly increasing letter
+    words, the codomain of :func:`extensor.letterplace.phi`."""
 
     __slots__ = ("dim", "m")
     _shape = {"dim": DimensionMismatch, "m": FoldMismatch}
     _sort_key = staticmethod(fold_sort_key)
 
-    def __init__(self, dim: int, m: int, terms=None):
+    def __init__(self, dim: int | None, m: int, terms=None):
         if m < 1:
             raise ValueError("fold count must be positive")
         self.dim = dim
         self.m = m
         self._store(terms)
 
-    def _valid_key(self, key) -> tuple[Word, ...]:
+    def _valid_key(self, key) -> tuple:
         k = tuple(key)
         if len(k) != self.m:
             raise FoldMismatch(f"key {k} does not have {self.m} folds")
-        return tuple(_index_word(w, self.dim) for w in k)
+        if self.dim is not None:
+            return tuple(_index_word(w, self.dim) for w in k)
+        k = tuple(tuple(str(x) for x in w) for w in k)
+        for w in k:
+            if any(a >= b for a, b in zip(w, w[1:])):
+                raise ValueError(f"fold word {w} is not strictly increasing")
+        return k
 
-    @staticmethod
-    def _key_str(key) -> str:
+    def _key_str(self, key) -> str:
+        if self.dim is None:
+            return " # ".join("".join(w) or "1" for w in key)
         return " # ".join(word_str(w) for w in key)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def unit(cls, dim: int, m: int) -> "TensorPowerElement":
+    def unit(cls, dim: int | None, m: int) -> "TensorPowerElement":
         return cls(dim, m, {((),) * m: Fraction(1)})
 
     @classmethod
@@ -61,14 +71,27 @@ class TensorPowerElement(SparseTerms):
         """The pure tensor of exterior elements, expanded distributively."""
         if not factors:
             raise ValueError("need at least one fold")
-        dim = factors[0].dim
-        d = 1
-        for f in factors:
-            if f.dim != dim:
-                raise DimensionMismatch("mixed dimensions in tensor factors")
-            d *= f.den
-        return cls._trusted(tensorops.outer_sum_terms([(1, [f.num for f in factors])]),
-                            d, dim, len(factors))
+        return cls._pure_sum([(1, factors)], factors[0].dim, len(factors))
+
+    @classmethod
+    def _pure_sum(cls, parts, dim: int, m: int, den: int = 1) -> "TensorPowerElement":
+        """Trusted ``sum(c * f_1 (x) ... (x) f_m) / den`` over the
+        ``(c, factors)`` parts, each ``c`` an int and each factor an
+        exterior element of dimension ``dim``, summed on ints over the
+        least common multiple of the parts' denominators."""
+        scaled, dens = [], []
+        for c, factors in parts:
+            d = 1
+            for f in factors:
+                if f.dim != dim:
+                    raise DimensionMismatch(f"dim {dim} and {f.dim} differ")
+                d *= f.den
+            dens.append(d)
+            scaled.append((c, [f.num for f in factors]))
+        common = lcm(*dens)
+        if common != 1:
+            scaled = [(c * (common // d), nums) for (c, nums), d in zip(scaled, dens)]
+        return cls._trusted(tensorops.outer_sum_terms(scaled), common * den, dim, m)
 
     def __mul__(self, other):
         if isinstance(other, TensorPowerElement):
@@ -84,20 +107,15 @@ class TensorPowerElement(SparseTerms):
         word of the element's keys, on the basis element of that word,
         and each key's product is built on the images' numerators.
         """
+        if self.dim is None:
+            raise ValueError("map_folds needs index folds")
         images: dict = {}
         for key in self.num:
             for w in key:
                 if w not in images:
-                    x = fn(ExteriorElement._trusted({w: 1}, 1, self.dim))
-                    if x.dim != self.dim:
-                        raise DimensionMismatch(f"dim {self.dim} and {x.dim} differ")
-                    images[w] = x
-        # each key's product over the common denominator of the products
-        dens = {key: prod(images[w].den for w in key) for key in self.num}
-        common = lcm(*dens.values())
-        return self._like(tensorops.outer_sum_terms(
-            (n * (common // dens[key]), [images[w].num for w in key])
-            for key, n in self.num.items()), common * self.den)
+                    images[w] = fn(ExteriorElement._trusted({w: 1}, 1, self.dim))
+        return self._pure_sum(((n, [images[w] for w in key]) for key, n in self.num.items()),
+                              self.dim, self.m, self.den)
 
 
 def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:

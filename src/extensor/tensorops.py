@@ -1,28 +1,27 @@
 """The sparse term kernel shared by every element type.
 
 :class:`SparseTerms` is the one arithmetic class: the exterior, tensor
-power, letterplace, free tensor and bitableau elements all store their
-terms in it and share its module operations.  An element keeps integer
-numerators ``num`` over one positive denominator ``den``, reduced so
-that the pair is unique, and every sum, product, slice and geometric
-product runs on ints.  The coefficients lie in the class's ``ring``.
+power, letterplace and bitableau elements all store their terms in it
+and share its module operations.  An element keeps integer numerators
+``num`` over one positive denominator ``den``, reduced so that the pair
+is unique, and every sum, product, slice and geometric product runs on
+ints.  The coefficients lie in the class's ``ring``.
 Over ``Fraction`` (exterior and tensor power elements) ``terms`` is a
 ``{key: Fraction}`` view made on each read, and a ``Fraction`` is made
 only for that view and for the scalars the API returns.  Over ``int``
 (:class:`IntegerTerms`, the letterplace side) ``den`` is always 1 and
 ``terms`` is ``num`` itself.
 
-The fold-wise kernels below serve both tensor powers.  Their terms are
-maps from m-tuples of words to coefficients (integers or numerators:
-the kernels never divide).  The product is the Z2-graded one; the
-raising and lowering geometric products move a degree-h slice of the
-source fold into the destination fold with the Koszul sign of the folds
-crossed on the way.  Each kernel term folds its +-1 factors (Koszul,
-slice and merge signs) into one int sign and applies it once, so a term
-costs at most one coefficient product.  The outer-product kernel sums
-pure tensors of numerator maps; the pure tensor of exterior elements,
-the tensor of a minimal representation and the fold-wise image of a
-linear map all run through it.
+The fold-wise kernels below serve tensor powers on index words and on
+letter words alike.  Their terms are maps from m-tuples of words to
+coefficients (integers or numerators: the kernels never divide).  The
+product is the Z2-graded one; the raising and lowering geometric
+products move a degree-h slice of the source fold into the destination
+fold with the Koszul sign of the folds crossed on the way.  Each kernel
+term folds its +-1 factors (Koszul, slice and merge signs) into one int
+sign and applies it once, so a term costs at most one coefficient
+product.  The outer-product kernel sums pure tensors of numerator maps
+for its one caller, ``TensorPowerElement._pure_sum``.
 
 Summation lives here too.  Every linear and bilinear map in the package
 is defined on basis keys and extended linearly; it hands its

@@ -82,8 +82,8 @@ class Matroid:
         return self.rank(s) == len(s)
 
     def is_independent_word(self, word: Sequence[str]) -> bool:
-        w = tuple(word)
-        return len(set(w)) == len(w) and self.is_independent(w)
+        # a repeated letter shrinks the set below the word's length
+        return self.rank(word) == len(word)
 
     def full_rank(self) -> int:
         return self.rank(self.ground)
@@ -181,6 +181,9 @@ def make_matroid(doc: Mapping) -> Matroid:
         if not (isinstance(cols, list) and all(isinstance(c, list) for c in cols)):
             raise ValueError("matroid field 'columns' must be a list of lists")
         if letters is None:
+            if len(cols) > len(DEFAULT_LETTERS):
+                raise ValueError(f"only {len(DEFAULT_LETTERS)} default letters exist, "
+                                 f"so {len(cols)} columns need 'letters'")
             letters = list(DEFAULT_LETTERS[:len(cols)])
         if len(letters) != len(cols) or len(set(letters)) != len(letters):
             raise ValueError("need one distinct letter per column")
@@ -545,7 +548,6 @@ def represent(images: Mapping[str, Sequence], e: WhitneyElement) -> TensorPowerE
     check_representation(e.matroid, images)
     vecs = {x: as_vector(images[x]) for x in e.matroid.ground}
     dim = len(next(iter(vecs.values()))) if vecs else 0
-    return TensorPowerElement._sum(
-        ((TensorPowerElement.from_elements(
-            [make_extensor([vecs[x] for x in w], dim) for w in key]), c)
+    return TensorPowerElement._pure_sum(
+        ((c, [make_extensor([vecs[x] for x in w], dim) for w in key])
          for key, c in phi(e.raw).num.items()), dim, e.m)

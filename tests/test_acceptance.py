@@ -22,8 +22,8 @@ from extensor.identity_suite import (capelli_suite, desargues_suite,
                                      distributive_suite, alternative_suite,
                                      modular_suite, rand_extensor,
                                      rand_fraction, rand_vector)
-from extensor.letterplace import (LetterplaceElement, expand_raw, ft_diamond,
-                                  phi, phi_inv, polarize, polarize_divided)
+from extensor.letterplace import (LetterplaceElement, expand_raw, phi, phi_inv,
+                                  polarize, polarize_divided)
 from extensor.span_invariants import (in_span, left_span, minimal_representation,
                                       right_span)
 from extensor.tensor_power import (TensorPowerElement, contains, diamond,
@@ -274,7 +274,7 @@ def test_criterion_06_letterplace_laws():
         i2, j2 = rng.sample(range(1, m + 1), 2)
         h2 = rng.randint(0, 3)
         assert phi(polarize_divided(h2, j2, i2, e)) == \
-            ft_diamond(h2, j2, i2, phi(e))
+            diamond(h2, j2, i2, phi(e))
         assert phi_inv(phi(e)) == e
     _ok(6, "polarization commutation, factorial and binomial divided-power "
            "laws, biproduct anticommutation, and the regrouping "

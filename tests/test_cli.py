@@ -482,6 +482,15 @@ class TestCommands:
         matroid = make_matroid({"kind": "uniform", "n": 27, "k": 2, "letters": letters})
         assert matroid.ground == tuple(letters) and matroid.full_rank() == 2
 
+    def test_linear_matroid_beyond_26_columns_needs_letters(self, tmp_path, capsys):
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({"kind": "linear", "columns": [[1]] * 27}))
+        assert main(["matroid", str(path), "exchange", "--max-word", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: only 26 default letters exist, so 27 columns need 'letters'\n"
+
     def test_long_operator_chain_evaluates(self, capsys):
         assert main(["eval", "-e", " + ".join(["e1"] * 3000)]) == 0
         assert capsys.readouterr().out == "3000 e1\n"

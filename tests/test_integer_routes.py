@@ -1,13 +1,13 @@
 """The integer-numerator hot paths against the element routes they replaced.
 
 ``make_extensor``, ``extensor_span``, ``linalg.nullspace`` and
-``linalg.invert``, ``MinimalRepresentation.tensor`` and
-``TensorPowerElement.map_folds`` work on integer numerators and build
-one element at the end.  Each is compared here with the route it
-replaced, kept below as a reference: a chain of ``from_vector`` wedges,
-a nullspace read off ``rref``'s ``Fraction`` matrix, a ``_sum`` of
-``from_elements`` pure tensors, and a per-key ``from_elements`` of the
-images of every word.  Results must be equal as stored pairs, entry
+``linalg.invert``, ``MinimalRepresentation.tensor``,
+``TensorPowerElement.map_folds`` and ``whitney.represent`` work on
+integer numerators and build one element at the end.  Each is compared
+here with the route it replaced, kept below as a reference: a chain of
+``from_vector`` wedges, a nullspace read off ``rref``'s ``Fraction``
+matrix, a ``_sum`` of ``from_elements`` pure tensors, and a per-key
+``from_elements`` of the images of every word.  Results must be equal as stored pairs, entry
 types included where the result is a list of Fractions.
 """
 
@@ -21,8 +21,10 @@ from extensor import linalg
 from extensor.cg_algebra import OrderedBasis
 from extensor.exterior import (ExteriorElement, as_vector, extensor_span,
                                make_extensor)
+from extensor.letterplace import LetterplaceElement, phi
 from extensor.span_invariants import MinimalRepresentation
 from extensor.tensor_power import TensorPowerElement
+from extensor.whitney import Matroid, WhitneyElement, represent
 
 
 def typed(x):
@@ -83,6 +85,14 @@ def ref_map_folds(t, fn):
 def ref_tensor(rep):
     return TensorPowerElement._sum(
         ((TensorPowerElement.from_elements(pair), 1) for pair in rep.pairs), rep.dim, 2)
+
+
+def ref_represent(columns, e):
+    dim = len(next(iter(columns.values())))
+    return TensorPowerElement._sum(
+        ((TensorPowerElement.from_elements(
+            [make_extensor([columns[x] for x in w], dim) for w in key]), c)
+         for key, c in phi(e.raw).num.items()), dim, e.m)
 
 
 # -- inputs --------------------------------------------------------------
@@ -190,6 +200,25 @@ def test_representation_tensor_matches_the_pure_tensor_sum(data):
                                max_size=4))
     rep = MinimalRepresentation(tuple(pairs), n)
     got, want = rep.tensor(), ref_tensor(rep)
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_represent_matches_the_per_key_route(data):
+    dim, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    letters = "abcd"[:data.draw(st.integers(1, 4))]
+    columns = {x: tuple(data.draw(st.lists(coefficients, min_size=dim, max_size=dim)))
+               for x in letters}
+    assume(any(any(v) for v in columns.values()))
+    matroid = Matroid.linear(columns)
+    variables = [(x, i) for x in letters for i in range(1, m + 1)]
+    parts = data.draw(st.lists(st.tuples(st.lists(st.sampled_from(variables), max_size=3),
+                                         st.integers(-3, 3)), max_size=4))
+    e = WhitneyElement(matroid, sum(
+        (LetterplaceElement.from_vars(m, seq, c) for seq, c in parts),
+        LetterplaceElement.zero(m)))
+    got, want = represent(columns, e), ref_represent(columns, e)
     assert got == want and (got.num, got.den) == (want.num, want.den)
 
 

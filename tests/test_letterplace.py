@@ -5,11 +5,12 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensor.letterplace import (Biproduct, FreeTensorElement, LetterplaceElement,
-                                  _merge_monomials, _sum_products, biproduct_expand,
-                                  expand_raw, ft_diamond, lp_normalize,
-                                  make_biproduct, phi, phi_inv, polarize,
-                                  polarize_divided)
+from extensor.exterior import DimensionMismatch
+from extensor.letterplace import (Biproduct, LetterplaceElement, _merge_monomials,
+                                  _sum_products, biproduct_expand, expand_raw,
+                                  lp_normalize, make_biproduct, phi, phi_inv,
+                                  polarize, polarize_divided)
+from extensor.tensor_power import TensorPowerElement, diamond
 from extensor.words import word_slices
 
 LETTERS = "abcde"
@@ -235,7 +236,8 @@ class TestBiproducts:
 class TestPhi:
     def test_generator_rule(self):
         got = phi(g(2, "x", 1) * g(2, "y", 2))
-        assert got == FreeTensorElement(2, {(("x",), ("y",)): 1})
+        assert got == TensorPowerElement(None, 2, {(("x",), ("y",)): 1})
+        assert got.dim is None and str(got) == "x # y"
 
     def test_inverse_pair(self):
         rng = random.Random(5)
@@ -262,9 +264,9 @@ class TestPhi:
             degs = rand_multidegree(rng, len(word), m)
             got = phi(expand_raw(word, degs, m))
             sizes = tuple(degs.get(p, 0) for p in range(1, m + 1))
-            want = FreeTensorElement.zero(m)
+            want = TensorPowerElement.zero(None, m)
             for sign, blocks in word_slices(word, sizes):
-                want = want + FreeTensorElement(m, {blocks: sign})
+                want = want + TensorPowerElement(None, m, {blocks: sign})
             assert got == want
 
     def test_divided_polarizations_intertwine(self):
@@ -275,7 +277,22 @@ class TestPhi:
             i, j = rng.sample(range(1, m + 1), 2)
             h = rng.randint(0, 3)
             assert phi(polarize_divided(h, j, i, e)) == \
-                ft_diamond(h, j, i, phi(e))
+                diamond(h, j, i, phi(e))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lp_sums))
+    def test_image_is_integral_on_letter_folds(self, e):
+        t = phi(e)
+        assert t.dim is None and t.m == e.m and t.den == 1
+
+    def test_letter_and_index_folds_do_not_mix(self):
+        x = phi(g(1, "a", 1))
+        with pytest.raises(DimensionMismatch):
+            x * TensorPowerElement.unit(1, 1)
+        with pytest.raises(ValueError, match="index folds"):
+            x.map_folds(lambda z: z)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            TensorPowerElement(None, 1, {(("b", "a"),): 1})
 
 
 # -- second routes: every monomial put through lp_normalize -------------

@@ -169,6 +169,16 @@ class TestDimensionChecks:
             in_span(ExteriorElement.monomial(4, (1,)),
                     [ExteriorElement.monomial(3, (1,))])
 
+    def test_pure_tensors_refuse_a_factor_of_another_dimension(self):
+        a3, a4 = ExteriorElement.monomial(3, (1,)), ExteriorElement.monomial(4, (1,))
+        with pytest.raises(DimensionMismatch):
+            TensorPowerElement.from_elements([a3, a4])
+        with pytest.raises(DimensionMismatch):
+            MinimalRepresentation(((a3, a3), (a3, a4)), 3).tensor()
+        with pytest.raises(DimensionMismatch):
+            TensorPowerElement.from_elements([a3, a3]).map_folds(
+                lambda x: ExteriorElement.monomial(4, next(iter(x.num))))
+
 
 class TestRepresentationFacts:
     def test_right_independent_left_span_is_minimal(self):

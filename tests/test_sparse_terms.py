@@ -1,4 +1,4 @@
-"""Properties of the shared sparse term kernel over all five element types.
+"""Properties of the shared sparse term kernel over all four element types.
 
 Every operation result, and the result of every linear map that sums
 its images in the kernel, must equal its rebuild through the validating
@@ -6,7 +6,8 @@ public constructor of its own class, store no zero coefficient and keep
 every coefficient in that class's ring, whichever class produced it.
 Every element stores a reduced pair of integer numerators over one
 positive denominator, and the module operations are defined once for
-all five classes.
+all four classes.  Tensor power elements are drawn on index folds and
+on letter folds (``dim`` None, the image of ``phi``).
 """
 
 import inspect
@@ -20,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 from extensor.bitableau import BitableauElement
 from extensor.cg_algebra import standard_basis
 from extensor.exterior import ExteriorElement
-from extensor.letterplace import (Biproduct, FreeTensorElement,
-                                  LetterplaceElement, ft_diamond,
-                                  make_biproduct, phi, phi_inv, polarize,
-                                  polarize_divided)
+from extensor.letterplace import (Biproduct, LetterplaceElement, make_biproduct,
+                                  phi, phi_inv, polarize, polarize_divided)
 from extensor.tensor_power import TensorPowerElement, diamond
 
 LETTERS = "abcd"
@@ -58,6 +57,16 @@ def tensor_pair(draw):
 
 
 @st.composite
+def letter_tensor_pair(draw):
+    """Integral pairs on letter folds, the codomain of ``phi``."""
+    m = draw(st.integers(1, 3))
+    fold = st.sampled_from(subwords(LETTERS[:3]))
+    keys = st.tuples(*[fold] * m)
+    return tuple(TensorPowerElement(None, m, draw(st.dictionaries(keys, integers, max_size=4)))
+                 for _ in range(2))
+
+
+@st.composite
 def letterplace_pair(draw):
     m = draw(st.integers(1, 3))
     variables = sorted(((x, i) for x in LETTERS[:3] for i in range(1, m + 1)),
@@ -65,15 +74,6 @@ def letterplace_pair(draw):
     monos = st.lists(st.sampled_from(variables), unique=True, max_size=4).map(
         lambda vs: tuple(sorted(vs, key=lambda v: (v[1], v[0]))))
     return tuple(LetterplaceElement(m, draw(st.dictionaries(monos, integers, max_size=4)))
-                 for _ in range(2))
-
-
-@st.composite
-def free_tensor_pair(draw):
-    m = draw(st.integers(1, 3))
-    fold = st.sampled_from(subwords(LETTERS[:3]))
-    keys = st.tuples(*[fold] * m)
-    return tuple(FreeTensorElement(m, draw(st.dictionaries(keys, integers, max_size=4)))
                  for _ in range(2))
 
 
@@ -99,15 +99,12 @@ CLASSES = {
     ExteriorElement: (exterior_pair(), Fraction,
                       lambda x: ExteriorElement(x.dim, x.terms),
                       lambda a, b: a.wedge(b)),
-    TensorPowerElement: (tensor_pair(), Fraction,
+    TensorPowerElement: (st.one_of(tensor_pair(), letter_tensor_pair()), Fraction,
                          lambda x: TensorPowerElement(x.dim, x.m, x.terms),
                          lambda a, b: a * b),
     LetterplaceElement: (letterplace_pair(), int,
                          lambda x: LetterplaceElement(x.m, x.terms),
                          lambda a, b: a * b),
-    FreeTensorElement: (free_tensor_pair(), int,
-                        lambda x: FreeTensorElement(x.m, x.terms),
-                        lambda a, b: a * b),
     BitableauElement: (bitableau_pair(), int,
                        lambda x: BitableauElement(x.m, x.terms),
                        lambda a, b: a * b),
@@ -135,10 +132,8 @@ LINEAR_MAPS = {
         + ([standard_basis(a.dim).star(a)] if a.dim else [])),
     TensorPowerElement: lambda a: (
         fold_maps(lambda h, j, i: diamond(h, j, i, a), a.m)
-        + [a.map_folds(standard_basis(a.dim).star)]),
+        + [a.map_folds(standard_basis(a.dim).star) if a.dim is not None else phi_inv(a)]),
     LetterplaceElement: lambda a: place_maps(a) + [phi(a)],
-    FreeTensorElement: lambda a: (
-        fold_maps(lambda h, j, i: ft_diamond(h, j, i, a), a.m) + [phi_inv(a)]),
     BitableauElement: lambda a: [a.to_letterplace()],
 }
 
@@ -186,7 +181,7 @@ def test_kernel_operations(cls):
 def test_classes_never_compare_equal():
     # units and zeros share their terms dict across the letterplace side
     elements = [ExteriorElement.unit(2), TensorPowerElement.unit(2, 1),
-                LetterplaceElement.unit(2), FreeTensorElement.unit(2),
+                TensorPowerElement.unit(None, 1), LetterplaceElement.unit(2),
                 BitableauElement.unit(2)]
     elements += [x - x for x in elements]
     for i, x in enumerate(elements):
@@ -208,7 +203,6 @@ def test_integer_classes_refuse_fractional_scalars():
 
 @pytest.mark.parametrize("build", [
     lambda c: LetterplaceElement(1, {(("a", 1),): c}),
-    lambda c: FreeTensorElement(1, {(("a",),): c}),
     lambda c: BitableauElement(1, {(Biproduct(("a",), ((1, 1),)),): c}),
 ])
 def test_integer_constructors_refuse_fractional_coefficients(build):
@@ -216,6 +210,18 @@ def test_integer_constructors_refuse_fractional_coefficients(build):
         with pytest.raises(TypeError):
             build(coeff)
     assert build(Fraction(4, 2)) == build(2)
+
+
+def test_phi_inv_refuses_fractional_and_index_fold_elements():
+    # letter folds take coefficients in Q; the way back into the integral
+    # letterplace algebra refuses a non-integral element
+    for coeff in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="integral"):
+            phi_inv(TensorPowerElement(None, 1, {(("a",),): coeff}))
+    with pytest.raises(ValueError, match="letter folds"):
+        phi_inv(TensorPowerElement(1, 1, {((1,),): 1}))
+    assert phi_inv(TensorPowerElement(None, 1, {(("a",),): Fraction(4, 2)})) == \
+        LetterplaceElement(1, {(("a", 1),): 2})
 
 
 MODULE_OPERATIONS = ("_trusted", "_like", "_sum", "__add__", "__sub__", "__neg__",

@@ -55,6 +55,15 @@ class TestMatroid:
         assert m.rank("ab") == 2
         assert not m.is_independent("abc")
 
+    def test_independent_words(self):
+        m = Matroid.uniform(3, 3)
+        assert m.is_independent_word("ab") and m.is_independent_word(())
+        # a repeated letter is dependent even in the free matroid
+        assert not m.is_independent_word("aa")
+        assert not m.is_independent_word(("a", "b", "a"))
+        with pytest.raises(ValueError, match="not a subset of the ground set"):
+            m.is_independent_word("az")
+
     def test_six_point_dependencies(self):
         m = six_point_matroid()
         deps = ["".join(w) for w in m.dependent_sorted_words(3)]
