@@ -6,8 +6,9 @@ public constructor of its own class, store no zero coefficient and keep
 every coefficient in that class's ring, whichever class produced it.
 Every element stores a reduced pair of integer numerators over one
 positive denominator, and the module operations are defined once for
-all four classes.  Tensor power elements are drawn on index folds and
-on letter folds (``dim`` None, the image of ``phi``).
+all four classes.  Tensor power elements are drawn on index folds and,
+as a case of their own, on letter folds (``dim`` None, the image of
+``phi``).
 """
 
 import inspect
@@ -99,7 +100,7 @@ CLASSES = {
     ExteriorElement: (exterior_pair(), Fraction,
                       lambda x: ExteriorElement(x.dim, x.terms),
                       lambda a, b: a.wedge(b)),
-    TensorPowerElement: (st.one_of(tensor_pair(), letter_tensor_pair()), Fraction,
+    TensorPowerElement: (tensor_pair(), Fraction,
                          lambda x: TensorPowerElement(x.dim, x.m, x.terms),
                          lambda a, b: a * b),
     LetterplaceElement: (letterplace_pair(), int,
@@ -138,6 +139,12 @@ LINEAR_MAPS = {
 }
 
 
+# (case id, class, pair strategy); letter folds, the free tensor algebra
+# and image of ``phi``, are a case of their own
+KERNEL_CASES = ([(cls.__name__, cls, strategy) for cls, (strategy, *_) in CLASSES.items()]
+                + [("FreeTensorElement", TensorPowerElement, letter_tensor_pair())])
+
+
 def check_kernel(cls, a, b, scalar):
     _, _, _, product = CLASSES[cls]
     results = [a + b, a - b, -a, a.scale(scalar), scalar * a, product(a, b)]
@@ -165,9 +172,10 @@ def check_stored_pair(r, ring):
     assert r.terms == {k: ring(Fraction(n, r.den)) for k, n in r.num.items()}
 
 
-@pytest.mark.parametrize("cls", list(CLASSES), ids=lambda c: c.__name__)
-def test_kernel_operations(cls):
-    strategy, ring, _, _ = CLASSES[cls]
+@pytest.mark.parametrize("cls, strategy", [case[1:] for case in KERNEL_CASES],
+                         ids=[case[0] for case in KERNEL_CASES])
+def test_kernel_operations(cls, strategy):
+    ring = CLASSES[cls][1]
     scalars = fractions if ring is Fraction else integers
 
     @settings(max_examples=60, deadline=None)
