@@ -12,7 +12,7 @@ verification suite and a small expression CLI.
 from .exterior import (DimensionMismatch, ExteriorElement, as_vector,
                        extensor_span, make_extensor, substitute, unit_vector)
 from .tensor_power import (FoldMismatch, TensorPowerElement, contains, diamond,
-                           graded_product, meet_join_factor)
+                           meet_join_factor)
 from .cg_algebra import OrderedBasis, PeanoSpace, hodge, join, standard_basis
 from .span_invariants import (GeneralizedHodge, MinimalRepresentation,
                               dagger_representation, generalized_hodge,

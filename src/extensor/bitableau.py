@@ -17,8 +17,11 @@ the whole process.  The rewrite preserves the value in the letterplace
 algebra exactly, which tests check through the place-regrouping map.
 Its output is word-standard only; :func:`standard_expansion` gives the
 coordinates in the doubly standard basis, whose place columns also
-increase strictly.  Both the value of a product of rows and the basis
-come from one flat kernel, :func:`_row_product_terms`.
+increase strictly.  The product is ``SparseTerms.__mul__`` over
+``tensorops._product_terms``, with concatenation of row lists as this
+class's ``_merge``; the value of a product of rows and the basis both
+come from :func:`_row_product_terms`, the same kernel on the rows'
+letterplace expansions.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import linalg
 from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
                           _graded_components, _letter_pattern, _merge_monomials,
                           _renamed, _shared_echelon, make_biproduct)
-from .tensorops import IntegerTerms, _sum_terms
+from .tensorops import IntegerTerms, _concat, _product_terms, _sum_terms
 from .words import sort_word, word_slices
 
 
@@ -64,6 +67,8 @@ class BitableauElement(IntegerTerms):
     def _key_str(rows) -> str:
         return "^".join(str(r) for r in rows) if rows else "1"
 
+    _merge = staticmethod(_concat)
+
     @classmethod
     def single(cls, m, rows, coeff=1):
         """One term from possibly raw (word, degrees) rows."""
@@ -92,14 +97,6 @@ class BitableauElement(IntegerTerms):
 
         return cls._trusted({tuple(rows(mono)): c for mono, c in e.num.items()}, 1, e.m)
 
-    def __mul__(self, other):
-        if not isinstance(other, BitableauElement):
-            return self.scale(other)
-        self._check(other)
-        return self._like(_sum_terms((r1 + r2, c1 * c2)
-                                     for r1, c1 in self.num.items()
-                                     for r2, c2 in other.num.items()))
-
     def to_letterplace(self) -> LetterplaceElement:
         """Expand every row product; the value in the letterplace algebra."""
         m = self.m
@@ -110,15 +107,12 @@ class BitableauElement(IntegerTerms):
 
 def _row_product_terms(rows: Rows, m: int) -> dict:
     """The product of the expanded rows in the letterplace algebra, as
-    summed terms (a cancelled key stays at zero).  Every choice of one
-    monomial per row expansion is merged into one signed monomial, left
-    to right, and all of them go into one sum."""
-    partial = [((), 1)]
+    summed terms (a cancelled key stays at zero), multiplied left to
+    right one row expansion at a time."""
+    out = {(): 1}
     for row in rows:
-        factor = biproduct_expand(row, m).num.items()
-        partial = [(mono, s * c * cv) for u, c in partial for v, cv in factor
-                   for s, mono in [_merge_monomials(u, v)] if s]
-    return _sum_terms(partial)
+        out = _product_terms(out, biproduct_expand(row, m).num, _merge_monomials)
+    return out
 
 
 def is_standard(rows) -> bool:

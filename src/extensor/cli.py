@@ -40,6 +40,7 @@ from .identity_suite import SUITES, Report, run_suite
 from .linalg import rational
 from .letterplace import LetterplaceElement
 from .tensor_power import TensorPowerElement, diamond
+from .tensorops import _concat, _product_terms
 from .whitney import (MAX_ORACLE_DEGREE, WhitneyElement, exchange_check,
                       make_matroid, wh_normal_form)
 from .letterplace import expand_raw, polarize_divided
@@ -438,9 +439,7 @@ class Evaluator:
             return self._scale(b, a)
         if isinstance(b, Fraction):
             return self._scale(a, b)
-        if isinstance(a, ExteriorElement) and isinstance(b, ExteriorElement):
-            return a.wedge(b)
-        if isinstance(a, (LetterplaceElement, BitableauElement)) and type(a) is type(b):
+        if type(a) is type(b) and not isinstance(a, TensorPowerElement):
             return a * b
         raise EvalError(
             f"cannot multiply {type(a).__name__} and {type(b).__name__}")
@@ -463,10 +462,9 @@ class Evaluator:
             else:
                 raise EvalError("tensor separator needs exterior factors")
         left, right = folds
-        out = {ka + kb: ca * cb for ka, ca in left.num.items()
-               for kb, cb in right.num.items()}
-        return TensorPowerElement._trusted(out, left.den * right.den,
-                                           self.env.dim, left.m + right.m)
+        return TensorPowerElement._trusted(_product_terms(left.num, right.num, _concat),
+                                           left.den * right.den, self.env.dim,
+                                           left.m + right.m)
 
     def _eval_star(self, node):
         x = self.eval(node[1])
@@ -627,29 +625,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _expression_values(argv: list) -> list:
-    """``-e X`` and ``--expression X`` of ``eval`` and ``straighten`` as
-    ``--expression=X``, so that an expression starting with ``-`` (say
-    ``-e1``) is read as the value and not as another option."""
+def _take_expression(argv: list):
+    """``(argv, expression)``: the value of the last ``-e X``, ``-eX``,
+    ``--expression X`` or ``--expression=X`` (or an abbreviation such as
+    ``--expr``) of ``eval`` and ``straighten``, which argparse sees as
+    ``--expression=``.  argparse would take a value starting with ``-``
+    (say ``-e1``) for an option, and some versions drop a ``--`` value."""
     if argv[:1] not in (["eval"], ["straighten"]):
-        return argv
-    out = argv[:1]
+        return argv, None
+    out, expression = argv[:1], None
     rest = iter(argv[1:])
     for token in rest:
-        if token in ("-e", "--expression"):
-            value = next(rest, None)
-            token = token if value is None else f"--expression={value}"
+        if token[:2] == "--":
+            name, eq, value = token.partition("=")
+        else:
+            name, eq, value = token[:2], token[2:], token[2:].removeprefix("=")
+        if name == "-e" or (len(name) > 3 and "--expression".startswith(name)):
+            if not eq:
+                value = next(rest, None)
+            if value is not None:
+                expression, token = value, "--expression="
         out.append(token)
-    return out
+    return out, expression
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv, expression = _take_expression(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = ap.parse_args(_expression_values(argv))
+        args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if expression is not None:
+        args.expression = expression
     try:
         return args.func(args)
     except ZeroDivisionError as exc:

@@ -4,25 +4,24 @@ Elements are sparse maps from index words (strictly increasing tuples
 of 1-based basis indices) to rational coefficients; the empty word is
 the unit.  An element stores them as integer numerators over one
 denominator in :class:`~extensor.tensorops.SparseTerms`, the one
-arithmetic class of the package (its integer side, the letterplace
-elements, is the ``den == 1`` case, whose ``terms`` is ``num``
-itself); here ``terms`` reads them back as ``Fraction``.  Kernel
-output is built by ``SparseTerms._trusted``, which takes ownership of
-the numerator dict it is given.  Extensors are wedges of vectors built
-with :func:`make_extensor`; a vector is a tuple of ``dim`` rationals.
-All values are immutable after construction and all operations are
-pure.
+arithmetic class of the package, and ``terms`` reads them back as
+``Fraction``.  Extensors are wedges of vectors built with
+:func:`make_extensor`; a vector is a tuple of ``dim`` rationals.  All
+values are immutable after construction and all operations are pure.
 
-The wedge, the slice and :func:`substitute` run on the numerators alone;
-word merges and slices are table lookups in :mod:`extensor.words`.
-:func:`substitute` wedges the image of each word prefix once per prefix
-table, and a caller that applies the same images many times (an
-:class:`~extensor.cg_algebra.OrderedBasis` star) keeps one table across
-calls.
-Extensors are built fraction-free: each vector is scaled to integers
-once, the integer vectors are wedged as numerator maps, and one element
-is built at the end.  :func:`extensor_span` hands the integer
-numerators of ``e_i ^ a`` to :func:`extensor.linalg.nullspace`.
+The wedge is the package's one product, ``SparseTerms.__mul__`` over
+``tensorops._product_terms``, with the word merge of
+:mod:`extensor.words` as this class's ``_merge``: ``a * b`` and
+``a ^ b`` are both ``a.wedge(b)``.  :func:`make_extensor`,
+:func:`substitute` and :func:`extensor_span` call that kernel on
+numerator maps directly.  :func:`substitute` wedges the image of each
+word prefix once per prefix table, and a caller that applies the same
+images many times (an :class:`~extensor.cg_algebra.OrderedBasis` star)
+keeps one table across calls.  Extensors are built fraction-free: each
+vector is scaled to integers once, the integer vectors are wedged as
+numerator maps, and one element is built at the end.
+:func:`extensor_span` hands the integer numerators of ``e_i ^ a`` to
+:func:`extensor.linalg.nullspace`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .tensorops import SparseTerms, _over_common_denominator, _sum_terms
+from .tensorops import SparseTerms, _over_common_denominator, _product_terms, _sum_terms
 from .words import merge_words, word_slices
 
 Word = tuple[int, ...]
@@ -83,6 +82,7 @@ class ExteriorElement(SparseTerms):
         return _index_word(word, self.dim)
 
     _key_str = staticmethod(word_str)
+    _merge = staticmethod(merge_words)
 
     # -- constructors ------------------------------------------------
 
@@ -101,7 +101,7 @@ class ExteriorElement(SparseTerms):
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """The join: bilinear, associative, graded-anticommutative."""
         self._check(other)
-        return self._like(_wedge_terms(self.num, other.num), self.den * other.den)
+        return self * other
 
     __xor__ = wedge
 
@@ -143,22 +143,6 @@ class ExteriorElement(SparseTerms):
         return TensorPowerElement._trusted(out, self.den, self.dim, len(parts))
 
 
-def _wedge_terms(a: dict, b: dict) -> dict:
-    """The wedge of two maps from words to numerators; keys that cancel
-    stay at zero."""
-    out: dict = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            sign, w = merge_words(u, v)
-            if sign:
-                p = x * y if sign > 0 else -x * y
-                if w in out:
-                    out[w] += p
-                else:
-                    out[w] = p
-    return out
-
-
 def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
     """Expand the wedge of coordinate vectors in the canonical basis.
 
@@ -182,8 +166,8 @@ def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
     den = 1
     for v in vecs:
         scale = lcm(*(c.denominator for c in v))
-        num = _wedge_terms(num, {(i,): c.numerator * (scale // c.denominator)
-                                 for i, c in enumerate(v, start=1) if c})
+        num = _product_terms(num, {(i,): c.numerator * (scale // c.denominator)
+                                   for i, c in enumerate(v, start=1) if c}, merge_words)
         if 0 in num.values():
             num = {w: n for w, n in num.items() if n}
         if not num:
@@ -220,8 +204,8 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement],
     def image(word):
         out = prefixes.get(word)
         if out is None:
-            out = {w: n for w, n in _wedge_terms(image(word[:-1]),
-                                                   nums[word[-1] - 1]).items() if n}
+            out = {w: n for w, n in _product_terms(image(word[:-1]), nums[word[-1] - 1],
+                                                     merge_words).items() if n}
             prefixes[word] = out
         return out
 
@@ -242,7 +226,7 @@ def extensor_span(a: ExteriorElement) -> list[Vector]:
         raise ValueError("zero element has no span")
     n = a.dim
     # the numerators of e_i ^ a over a.den; one word each, so none cancels
-    images = [_wedge_terms({(i,): 1}, a.num) for i in range(1, n + 1)]
+    images = [_product_terms({(i,): 1}, a.num, merge_words) for i in range(1, n + 1)]
     out_words = sorted({w for img in images for w in img})
     rows = [[img.get(w, 0) for img in images] for w in out_words]
     return [tuple(v) for v in linalg.nullspace(rows, n)]

@@ -3,14 +3,17 @@
 Generators are letterplace variables (x|i) with x a letter and i a
 place in 1..m; any two generators anticommute and squares vanish, so
 the square-free monomials in the canonical place-major order form a
-Z-basis.  Place polarizations move variables between places; their
-divided powers act on biproducts with integer coefficients.  The map
-:func:`phi` regroups a monomial by place into the m-fold tensor power
-of the free skew algebra on the letters, a ``TensorPowerElement`` on
-letter folds with ``den == 1``, and is a Z-algebra isomorphism onto the
-integral elements intertwining divided polarizations with the geometric
-products :func:`~extensor.tensor_power.diamond`; :func:`phi_inv` maps
-back and refuses any other element.
+Z-basis.  The product is ``SparseTerms.__mul__`` over
+``tensorops._product_terms``, with one merge of two place-major
+monomials as this class's ``_merge``.  Place polarizations move
+variables between places; their divided powers act on biproducts with
+integer coefficients.  The map :func:`phi` regroups a monomial by place
+into the m-fold tensor power of the free skew algebra on the letters, a
+``TensorPowerElement`` on letter folds with ``den == 1``, and is a
+Z-algebra isomorphism onto the integral elements intertwining divided
+polarizations with the geometric products
+:func:`~extensor.tensor_power.diamond`; :func:`phi_inv` maps back and
+refuses any other element.
 """
 
 from __future__ import annotations
@@ -51,42 +54,6 @@ def lp_normalize(seq: Iterable[LPVar]):
     return sign, tuple((x, i) for i, x in srt)
 
 
-class LetterplaceElement(IntegerTerms):
-    """Integer combination of square-free letterplace monomials."""
-
-    __slots__ = ()
-
-    def _valid_key(self, mono) -> LPMonomial:
-        key = tuple((str(x), int(i)) for x, i in mono)
-        keys = [_var_key(v) for v in key]
-        if any(a >= b for a, b in zip(keys, keys[1:])) or len(set(key)) != len(key):
-            raise ValueError(f"monomial {key} is not canonical")
-        if any(i < 1 or i > self.m for _, i in key):
-            raise ValueError(f"place out of range in {key}")
-        return key
-
-    @staticmethod
-    def _key_str(mono) -> str:
-        return "^".join(f"({x}|{i})" for x, i in mono) if mono else "1"
-
-    @classmethod
-    def generator(cls, m: int, letter: str, place: int) -> "LetterplaceElement":
-        return cls(m, {((letter, place),): 1})
-
-    @classmethod
-    def from_vars(cls, m: int, seq: Iterable[LPVar], coeff: int = 1) -> "LetterplaceElement":
-        return cls(m, _sum_products([(seq, coeff)]))
-
-    def __mul__(self, other):
-        if not isinstance(other, LetterplaceElement):
-            return self.scale(other)
-        self._check(other)
-        return self._like(_sum_terms(
-            (mono, sign * cu * cv)
-            for u, cu in self.num.items() for v, cv in other.num.items()
-            for sign, mono in [_merge_monomials(u, v)] if sign))
-
-
 def _merge_monomials(u: LPMonomial, v: LPMonomial):
     """The product of two canonical monomials, as ``(sign, monomial)``.
 
@@ -113,6 +80,35 @@ def _merge_monomials(u: LPMonomial, v: LPMonomial):
             crossings += nu - i
     out.extend(u[i:] if i < nu else v[j:])
     return -1 if crossings & 1 else 1, tuple(out)
+
+
+class LetterplaceElement(IntegerTerms):
+    """Integer combination of square-free letterplace monomials."""
+
+    __slots__ = ()
+
+    def _valid_key(self, mono) -> LPMonomial:
+        key = tuple((str(x), int(i)) for x, i in mono)
+        keys = [_var_key(v) for v in key]
+        if any(a >= b for a, b in zip(keys, keys[1:])) or len(set(key)) != len(key):
+            raise ValueError(f"monomial {key} is not canonical")
+        if any(i < 1 or i > self.m for _, i in key):
+            raise ValueError(f"place out of range in {key}")
+        return key
+
+    @staticmethod
+    def _key_str(mono) -> str:
+        return "^".join(f"({x}|{i})" for x, i in mono) if mono else "1"
+
+    _merge = staticmethod(_merge_monomials)
+
+    @classmethod
+    def generator(cls, m: int, letter: str, place: int) -> "LetterplaceElement":
+        return cls(m, {((letter, place),): 1})
+
+    @classmethod
+    def from_vars(cls, m: int, seq: Iterable[LPVar], coeff: int = 1) -> "LetterplaceElement":
+        return cls(m, _sum_products([(seq, coeff)]))
 
 
 def _sum_products(products) -> dict:

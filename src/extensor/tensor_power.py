@@ -3,12 +3,12 @@
 Elements are sparse maps from m-tuples of index words, or of letter
 words (the image of :func:`extensor.letterplace.phi`), to rational
 coefficients, stored as integer numerators over one denominator as in
-:mod:`extensor.exterior`, and multiplied fold-wise with the Z2-graded
-Koszul sign.  The raising and lowering operators :func:`diamond` turn
-coproduct slices of one fold into wedge factors of another; they are
-the working form of the regressive products, and
-:func:`meet_join_factor` extracts the subspace intersection and sum
-they compute.
+:mod:`extensor.exterior`, and multiplied, ``s * t``, fold-wise with the
+Z2-graded Koszul sign (``tensorops._fold_merge``).  The raising and
+lowering operators :func:`diamond` turn coproduct slices of one fold
+into wedge factors of another; they are the working form of the
+regressive products, and :func:`meet_join_factor` extracts the
+subspace intersection and sum they compute.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 from . import linalg, tensorops
 from .exterior import (DimensionMismatch, ExteriorElement, extensor_span,
                        _index_word, word_str)
-from .tensorops import SparseTerms, fold_sort_key
+from .tensorops import SparseTerms, _fold_merge, fold_sort_key
 
 
 class FoldMismatch(ValueError):
@@ -35,6 +35,7 @@ class TensorPowerElement(SparseTerms):
     __slots__ = ("dim", "m")
     _shape = {"dim": DimensionMismatch, "m": FoldMismatch}
     _sort_key = staticmethod(fold_sort_key)
+    _merge = staticmethod(_fold_merge)
 
     def __init__(self, dim: int | None, m: int, terms=None):
         if m < 1:
@@ -93,11 +94,6 @@ class TensorPowerElement(SparseTerms):
             scaled = [(c * (common // d), nums) for (c, nums), d in zip(scaled, dens)]
         return cls._trusted(tensorops.outer_sum_terms(scaled), common * den, dim, m)
 
-    def __mul__(self, other):
-        if isinstance(other, TensorPowerElement):
-            return graded_product(self, other)
-        return self.scale(other)
-
     # -- helpers -----------------------------------------------------
 
     def map_folds(self, fn) -> "TensorPowerElement":
@@ -116,12 +112,6 @@ class TensorPowerElement(SparseTerms):
                     images[w] = fn(ExteriorElement._trusted({w: 1}, 1, self.dim))
         return self._pure_sum(((n, [images[w] for w in key]) for key, n in self.num.items()),
                               self.dim, self.m, self.den)
-
-
-def graded_product(s: TensorPowerElement, t: TensorPowerElement) -> TensorPowerElement:
-    """Fold-wise wedge with the Koszul sign of crossing folds."""
-    s._check(t)
-    return s._like(tensorops.graded_product_terms(s.num, t.num), s.den * t.den)
 
 
 def diamond(h: int, j: int, i: int, t: TensorPowerElement) -> TensorPowerElement:

@@ -5,32 +5,32 @@ power, letterplace and bitableau elements all store their terms in it
 and share its module operations.  An element keeps integer numerators
 ``num`` over one positive denominator ``den``, reduced so that the pair
 is unique, and every sum, product, slice and geometric product runs on
-ints.  The coefficients lie in the class's ``ring``.
-Over ``Fraction`` (exterior and tensor power elements) ``terms`` is a
-``{key: Fraction}`` view made on each read, and a ``Fraction`` is made
-only for that view and for the scalars the API returns.  Over ``int``
-(:class:`IntegerTerms`, the letterplace side) ``den`` is always 1 and
-``terms`` is ``num`` itself.
+ints.  The coefficients lie in the class's ``ring``.  Over ``Fraction``
+(exterior and tensor power elements) ``terms`` is a ``{key: Fraction}``
+view made on each read, and a ``Fraction`` is made only for that view
+and for the scalars the API returns.  Over ``int`` (:class:`IntegerTerms`,
+the letterplace side) ``den`` is always 1 and ``terms`` is ``num``.
 
-The fold-wise kernels below serve tensor powers on index words and on
-letter words alike.  Their terms are maps from m-tuples of words to
-coefficients (integers or numerators: the kernels never divide).  The
-product is the Z2-graded one; the raising and lowering geometric
-products move a degree-h slice of the source fold into the destination
-fold with the Koszul sign of the folds crossed on the way.  Each kernel
-term folds its +-1 factors (Koszul, slice and merge signs) into one int
-sign and applies it once, so a term costs at most one coefficient
-product.  The outer-product kernel sums pure tensors of numerator maps
-for its one caller, ``TensorPowerElement._pure_sum``.
+There is one product.  :meth:`SparseTerms.__mul__` multiplies two
+elements of one class with :func:`_product_terms`, the bilinear
+extension of the product of two basis keys that the class names as
+``_merge``: the word merge for exterior elements (so ``*`` on them is
+the wedge), :func:`_fold_merge` for tensor powers (the Z2-graded
+product: fold-wise merges with the Koszul sign of the folds crossed),
+the place-major monomial merge for letterplace elements, and
+:func:`_concat` for bitableaux.  A key product and the geometric
+product kernel :func:`diamond_terms` fold every +-1 factor of a term
+(Koszul, slice and merge signs) into one int sign, so a term costs at
+most one coefficient product.  The kernels never divide: their terms
+are integers or numerators.  The outer-product kernel sums pure
+tensors for its one caller, ``TensorPowerElement._pure_sum``.
 
 Summation lives here too.  Every linear and bilinear map in the package
 is defined on basis keys and extended linearly; it hands its
-(key, numerator) images to :func:`_sum_terms`, or its
-(element, coefficient) parts to :meth:`SparseTerms._sum`, and the
-trusted constructor :meth:`SparseTerms._trusted` drops the keys that
-cancelled.  That constructor takes ownership of the dict it gets, as
-its docstring states.  The kernels return such sums as plain dicts, for
-their callers' ``_like``.
+(key, numerator) images to :func:`_sum_terms` or :func:`_product_terms`,
+or its (element, coefficient) parts to :meth:`SparseTerms._sum`, and
+the trusted constructor :meth:`SparseTerms._trusted`, which takes
+ownership of the dict it gets, drops the keys that cancelled.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ class SparseTerms:
     The module operations are defined here once.  A subclass maps its
     shape slots (``dim`` and/or ``m``) in ``_shape`` to the error raised
     when operands differ there, validates keys in ``_valid_key``, prints
-    them with ``_key_str`` (ordered by ``_sort_key``), and defines its
-    own product.  The public constructor of each subclass validates
-    every key and coerces every coefficient (``_store``); kernel output
-    goes through :meth:`_trusted` instead, which is never re-validated
-    and takes ownership of the dict it gets.
+    them with ``_key_str`` (ordered by ``_sort_key``), and names the
+    product of two keys in ``_merge`` for :meth:`__mul__`.  The public
+    constructor of each subclass validates every key and coerces every
+    coefficient (``_store``); kernel output goes through :meth:`_trusted`
+    instead, which is never re-validated and takes ownership of the
+    dict it gets.
     """
 
     __slots__ = ("num", "den")
@@ -182,7 +183,16 @@ class SparseTerms:
         return self._like({k: p * n for k, n in self.num.items()},
                           s.denominator * self.den)
 
-    __mul__ = __rmul__ = scale
+    __rmul__ = scale
+
+    def __mul__(self, other):
+        """The product with an element of this class; any other operand
+        is a scalar."""
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._check(other)
+        return self._like(_product_terms(self.num, other.num, self._merge),
+                          self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
@@ -241,6 +251,42 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
+def _product_terms(a: dict, b: dict, merge) -> dict:
+    """The product of two maps from keys to numerators, with
+    ``merge(u, v)`` the ``(sign, key)`` product of two keys, sign 0 when
+    it vanishes; keys that cancel stay at zero."""
+    out: dict = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            sign, w = merge(u, v)
+            if sign:
+                p = x * y if sign > 0 else -x * y
+                if w in out:
+                    out[w] += p
+                else:
+                    out[w] = p
+    return out
+
+
+def _concat(u: tuple, v: tuple):
+    """The free product of two keys: their concatenation."""
+    return 1, u + v
+
+
+def _fold_merge(u: tuple, v: tuple):
+    """The Z2-graded product of two m-fold keys: fold-wise merges, each
+    fold of ``v`` crossing the later folds of ``u``."""
+    sign, crossed, folds = 1, 0, []
+    for x, y in zip(u, v):
+        s, w = merge_words(x, y)
+        if s == 0:
+            return 0, None
+        sign *= -s if len(x) * crossed & 1 else s
+        crossed += len(y)
+        folds.append(w)
+    return sign, tuple(folds)
+
+
 def outer_sum_terms(parts) -> dict:
     """Sum of ``c * (f_1 (x) ... (x) f_m)`` over the ``(c, factors)``
     parts, each factor a map from words to numerators, into one map from
@@ -286,27 +332,6 @@ def format_terms(items, key_str) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def graded_product_terms(a_terms: dict, b_terms: dict) -> dict:
-    def pairs():
-        for ka, ca in a_terms.items():
-            for kb, cb in b_terms.items():
-                koszul = sum(len(ka[i]) * len(kb[j])
-                             for i in range(len(ka)) for j in range(i))
-                sign = -1 if koszul & 1 else 1
-                folds = []
-                for u, v in zip(ka, kb):
-                    s, w = merge_words(u, v)
-                    if s == 0:
-                        break
-                    sign *= s
-                    folds.append(w)
-                else:
-                    c = ca * cb
-                    yield tuple(folds), c if sign > 0 else -c
-
-    return _sum_terms(pairs())
 
 
 def diamond_terms(terms: dict, h: int, dest: int, src: int, m: int) -> dict:

@@ -36,6 +36,7 @@ from .letterplace import (LetterplaceElement, _counts, _expand_biproduct,
                           _graded_components, _letter_pattern, _merge_monomials,
                           _renamed, _shared_echelon, _var_key, phi)
 from .tensor_power import TensorPowerElement
+from .tensorops import _product_terms
 from .words import merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -398,13 +399,12 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
             if sum(comp) != size:
                 continue
             gen_deg = tuple((p + 1, q) for p, q in enumerate(comp) if q)
-            gen = _expand_biproduct(wset, gen_deg, m).num.items()
+            gen = _expand_biproduct(wset, gen_deg, m).num
             rest_pdeg = {p: pdeg.get(p, 0) - q for p, q in enumerate(comp, start=1)}
             for mono in _monomials_with(rest_content, rest_pdeg, m):
                 # a product with one monomial maps distinct terms to
                 # distinct terms, so nothing is summed and nothing cancels
-                mult = {prod: s * c for g, c in gen
-                        for s, prod in [_merge_monomials(mono, g)] if s}
+                mult = _product_terms({mono: 1}, gen, _merge_monomials)
                 if mult:
                     echelon.insert(mult)
     return echelon

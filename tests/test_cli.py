@@ -191,6 +191,28 @@ class TestCommands:
             assert main(argv) == 0, argv
             assert capsys.readouterr().out == "-bp(ab; 1:1, 2:1)\n"
 
+    @pytest.mark.parametrize("command", ["eval", "straighten"])
+    @pytest.mark.parametrize("spelling", [["-e", "--"], ["-e--"], ["--expression", "--"],
+                                          ["--expression=--"]])
+    def test_a_double_dash_expression_reaches_the_parser(self, capsys, command, spelling):
+        # argparse drops a lone "--" value on some Python versions
+        with pytest.raises(ParseError, match="column 3$"):
+            ev("--")
+        assert main([command, *spelling]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unexpected token '' at line 1, column 3\n"
+
+    def test_expression_options_in_every_spelling(self, capsys):
+        for argv in (["eval", "-e=e1"], ["eval", "-ee1"], ["eval", "--expr", "e1"],
+                     ["eval", "--ex=e1"], ["eval", "-e", "e2", "-e", "e1"],
+                     ["eval", "-e", "e1", "--dim", "2"]):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == "e1\n"
+        for argv in (["eval", "--expression"], ["straighten", "-e"]):
+            assert main(argv) == 2, argv
+            assert "expected one argument" in capsys.readouterr().err
+
     def test_budget_boundary(self, capsys):
         assert main(["straighten", "-e", "bp(ab; 1:2)", "--budget", "0"]) == 0
         assert capsys.readouterr().out == "bp(ab; 1:2)\n"
@@ -392,6 +414,8 @@ class TestCommands:
         (["eval", "-e"], "expected one argument"),
         (["straighten", "--order", "revlex", "-e", "bp(z; 1:1) ^ bp(x; 1:1)"],
          "unrecognized arguments: --order revlex"),
+        (["eval", "-e", "(e1 # e2) ^ (e1 # e2)"],
+         "cannot multiply TensorPowerElement and TensorPowerElement"),
     ])
     def test_bad_input_is_one_line_usage_error(self, capsys, argv, message):
         assert main(argv) == 2

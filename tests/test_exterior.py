@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from extensor.exterior import (DimensionMismatch, ExteriorElement,
                                extensor_span, make_extensor, substitute,
                                unit_vector)
-from extensor.tensor_power import TensorPowerElement, graded_product
+from extensor.tensor_power import TensorPowerElement
 
 
 def det_bruteforce(rows):
@@ -191,8 +191,8 @@ class TestSlice:
                 for h1 in range(h + 1):
                     if p - h - (sa - h1) < 0 or h1 > sa or h - h1 > sb:
                         continue
-                    rhs = rhs + graded_product(a.slice((sa - h1, h1)),
-                                               b.slice((sb - (h - h1), h - h1)))
+                    rhs = rhs + (a.slice((sa - h1, h1))
+                                 * b.slice((sb - (h - h1), h - h1)))
                 assert lhs == rhs
 
 

@@ -5,10 +5,11 @@ its images in the kernel, must equal its rebuild through the validating
 public constructor of its own class, store no zero coefficient and keep
 every coefficient in that class's ring, whichever class produced it.
 Every element stores a reduced pair of integer numerators over one
-positive denominator, and the module operations are defined once for
-all four classes.  Tensor power elements are drawn on index folds and,
-as a case of their own, on letter folds (``dim`` None, the image of
-``phi``).
+positive denominator, and the module operations, the product ``*``
+included, are defined once for all four classes; each product equals
+a term-pair reference that shares no code with the product kernel.
+Tensor power elements are drawn on index folds and, as a case of their
+own, on letter folds (``dim`` None, the image of ``phi``).
 """
 
 import inspect
@@ -22,9 +23,12 @@ from hypothesis import given, settings, strategies as st
 from extensor.bitableau import BitableauElement
 from extensor.cg_algebra import standard_basis
 from extensor.exterior import ExteriorElement
-from extensor.letterplace import (Biproduct, LetterplaceElement, make_biproduct,
-                                  phi, phi_inv, polarize, polarize_divided)
+from extensor.letterplace import (Biproduct, LetterplaceElement, lp_normalize,
+                                  make_biproduct, phi, phi_inv, polarize,
+                                  polarize_divided)
 from extensor.tensor_power import TensorPowerElement, diamond
+from extensor.words import sort_with_sign
+from test_rational_kernels import ref_graded_product
 
 LETTERS = "abcd"
 
@@ -95,20 +99,39 @@ def bitableau_pair(draw):
 
 
 # class -> (pair strategy, coefficient ring, rebuild through the public
-# constructor, the class's own product)
+# constructor)
 CLASSES = {
     ExteriorElement: (exterior_pair(), Fraction,
-                      lambda x: ExteriorElement(x.dim, x.terms),
-                      lambda a, b: a.wedge(b)),
+                      lambda x: ExteriorElement(x.dim, x.terms)),
     TensorPowerElement: (tensor_pair(), Fraction,
-                         lambda x: TensorPowerElement(x.dim, x.m, x.terms),
-                         lambda a, b: a * b),
+                         lambda x: TensorPowerElement(x.dim, x.m, x.terms)),
     LetterplaceElement: (letterplace_pair(), int,
-                         lambda x: LetterplaceElement(x.m, x.terms),
-                         lambda a, b: a * b),
+                         lambda x: LetterplaceElement(x.m, x.terms)),
     BitableauElement: (bitableau_pair(), int,
-                       lambda x: BitableauElement(x.m, x.terms),
-                       lambda a, b: a * b),
+                       lambda x: BitableauElement(x.m, x.terms)),
+}
+
+
+def term_pairs(key_product):
+    """The product of two elements summed term pair by term pair, with
+    ``key_product(u, v)`` the ``(sign, key)`` of two keys."""
+    def product(a, b):
+        out = {}
+        for u, x in a.terms.items():
+            for v, y in b.terms.items():
+                sign, w = key_product(u, v)
+                if sign:
+                    out[w] = out.get(w, 0) + sign * x * y
+        return {k: c for k, c in out.items() if c}
+    return product
+
+
+# class -> the product as a second route, sharing no code with the kernel
+REFERENCE_PRODUCTS = {
+    ExteriorElement: term_pairs(lambda u, v: sort_with_sign(u + v)),
+    TensorPowerElement: ref_graded_product,
+    LetterplaceElement: term_pairs(lambda u, v: lp_normalize(u + v)),
+    BitableauElement: term_pairs(lambda u, v: (1, u + v)),
 }
 
 
@@ -146,11 +169,10 @@ KERNEL_CASES = ([(cls.__name__, cls, strategy) for cls, (strategy, *_) in CLASSE
 
 
 def check_kernel(cls, a, b, scalar):
-    _, _, _, product = CLASSES[cls]
-    results = [a + b, a - b, -a, a.scale(scalar), scalar * a, product(a, b)]
+    results = [a + b, a - b, -a, a.scale(scalar), scalar * a, a * b]
     assert all(type(r) is cls for r in results)
     for r in results + LINEAR_MAPS[cls](a):
-        _, ring, rebuild, _ = CLASSES[type(r)]
+        _, ring, rebuild = CLASSES[type(r)]
         assert r == rebuild(r)
         assert all(c != 0 for c in r.terms.values())
         assert all(type(c) is ring for c in r.terms.values())
@@ -182,6 +204,21 @@ def test_kernel_operations(cls, strategy):
     @given(strategy, scalars)
     def run(pair, scalar):
         check_kernel(cls, *pair, scalar)
+
+    run()
+
+
+@pytest.mark.parametrize("cls, strategy", [case[1:] for case in KERNEL_CASES],
+                         ids=[case[0] for case in KERNEL_CASES])
+def test_product_matches_the_term_pair_reference(cls, strategy):
+    @settings(max_examples=60, deadline=None)
+    @given(strategy)
+    def run(pair):
+        a, b = pair
+        assert (a * b).terms == REFERENCE_PRODUCTS[cls](a, b)
+        if cls is ExteriorElement:
+            assert a * b == a.wedge(b) == a ^ b
+            assert a * 3 == a.scale(3) == 3 * a
 
     run()
 
@@ -233,7 +270,7 @@ def test_phi_inv_refuses_fractional_and_index_fold_elements():
 
 
 MODULE_OPERATIONS = ("_trusted", "_like", "_sum", "__add__", "__sub__", "__neg__",
-                     "scale", "__rmul__", "__eq__", "__bool__")
+                     "scale", "__mul__", "__rmul__", "__eq__", "__bool__")
 
 
 @pytest.mark.parametrize("name", MODULE_OPERATIONS)

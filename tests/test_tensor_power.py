@@ -6,7 +6,7 @@ import pytest
 
 from extensor.exterior import ExteriorElement, extensor_span, make_extensor
 from extensor.tensor_power import (FoldMismatch, TensorPowerElement, contains,
-                                   diamond, graded_product, meet_join_factor)
+                                   diamond, meet_join_factor)
 from extensor.span_invariants import minimal_representation
 from extensor import linalg
 
@@ -43,7 +43,7 @@ class TestGradedProduct:
     def test_two_fold_sign(self):
         s = TensorPowerElement.from_elements([e(3, 1), e(3, 2)])
         t = TensorPowerElement.from_elements([e(3, 2), e(3, 3)])
-        got = graded_product(s, t)
+        got = s * t
         want = TensorPowerElement(3, 2, {((1, 2), (2, 3)): -1})
         assert got == want
 
@@ -54,8 +54,8 @@ class TestGradedProduct:
             a = rand_extensor(rng, n, rng.randint(0, n))
             b = rand_extensor(rng, n, rng.randint(0, n))
             one = ExteriorElement.unit(n)
-            lhs = graded_product(TensorPowerElement.from_elements([one, a]),
-                                 TensorPowerElement.from_elements([b, one]))
+            lhs = (TensorPowerElement.from_elements([one, a])
+                   * TensorPowerElement.from_elements([b, one]))
             want = TensorPowerElement.from_elements([b, a]).scale(
                 (-1) ** (a.step() * b.step()))
             assert lhs == want
@@ -64,13 +64,12 @@ class TestGradedProduct:
         rng = random.Random(1)
         t = rand_tensor(rng, 3, 3)
         one = TensorPowerElement.unit(3, 3)
-        assert graded_product(one, t) == t
-        assert graded_product(t, one) == t
+        assert one * t == t
+        assert t * one == t
 
     def test_fold_mismatch(self):
         with pytest.raises(FoldMismatch):
-            graded_product(TensorPowerElement.unit(3, 2),
-                           TensorPowerElement.unit(3, 3))
+            TensorPowerElement.unit(3, 2) * TensorPowerElement.unit(3, 3)
 
 
 class TestDiamond:
@@ -149,9 +148,8 @@ class TestDiamond:
             s = rand_tensor(rng, 3, m, 2)
             t = rand_tensor(rng, 3, m, 2)
             i, j = rng.sample(range(1, m + 1), 2)
-            lhs = diamond(1, j, i, graded_product(s, t))
-            rhs = graded_product(diamond(1, j, i, s), t) + \
-                graded_product(s, diamond(1, j, i, t))
+            lhs = diamond(1, j, i, s * t)
+            rhs = diamond(1, j, i, s) * t + s * diamond(1, j, i, t)
             assert lhs == rhs
 
     def test_lowering_mirrors_raising_on_two_folds(self):
