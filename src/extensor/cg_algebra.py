@@ -3,10 +3,10 @@
 A Peano space is the exterior algebra together with a chosen top-step
 integral E; the bracket of n vectors is the coefficient of their wedge
 against E.  The meet comes in two coproduct-slice expansions (sliced on
-the left or on the right argument) which agree; the dotted meet is the
-same sum with the slice reversed and differs by a fixed sign.  Hodge
-stars are attached to an ordered basis and send a canonical extensor to
-its signed complement.
+the left or on the right argument) which agree; the dotted meet reverses
+the slice, which changes only a fixed sign, so it is the signed left
+meet.  Hodge stars are attached to an ordered basis and send a canonical
+extensor to its signed complement.
 """
 
 from __future__ import annotations
@@ -84,24 +84,14 @@ class PeanoSpace:
             _sum_terms(images), sl.den * x.den * self._inverse[1], n)
 
     def dot_meet(self, a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
-        """Meet variant slicing the first argument as (a+b-n, n-b).
-
-        Equals the meet up to the sign (-1)^((a+b-n)(n-b)); iterated
-        uses nest left to right.
+        """Meet variant slicing the first argument as (a+b-n, n-b), the
+        left meet's two blocks swapped, so it is the meet times
+        (-1)^((a+b-n)(n-b)); iterated uses nest left to right.
         """
-        n = self.dim
-        if a.dim != n or b.dim != n:
-            raise DimensionMismatch("elements of another dimension")
-        if not a or not b:
-            return ExteriorElement.zero(n)
-        sa, sb = a.step(), b.step()
-        if sa + sb < n:
-            return ExteriorElement.zero(n)
-        sl = a.slice((sa + sb - n, n - sb))
-        return ExteriorElement._trusted(_sum_terms(
-            (w1, c * br) for (w1, w2), c in sl.num.items()
-            for br in [self._bracket_word(w2, b, True)] if br),
-            sl.den * b.den * self._inverse[1], n)
+        m = self.meet(a, b)
+        if m and (a.step() + b.step() - self.dim) * (self.dim - b.step()) % 2:
+            return -m
+        return m
 
     def _bracket_word(self, word, x: ExteriorElement, word_first: bool) -> int:
         """``[e_word ^ x]``, or ``[x ^ e_word]`` when not ``word_first``,

@@ -1,7 +1,7 @@
 """Command-line front end: expression evaluation, straightening,
 identity suites, and matroid checks.
 
-Grammar (EBNF), tightest first; operators left-associative::
+Grammar (EBNF), loosest first; operators left-associative::
 
     expr     = additive ;
     additive = tensor { ("+" | "-") tensor } ;
@@ -17,6 +17,8 @@ Grammar (EBNF), tightest first; operators left-associative::
              | "dia" "(" INT "," INT "," INT "," expr ")"
              | "bp" "(" NAME ";" [ INT ":" INT { "," INT ":" INT } ] ")" ;
     NUMBER   = INT [ "/" INT ] ;
+    INT      = digit { digit } ;           (* ASCII 0-9 only *)
+    NAME     = ( letter | "_" ) { alnum | "_" } ;  (* Unicode letters and numerals *)
 
 Vectors named ``e1..en`` are bound to the unit coordinate vectors of
 the ambient dimension; an environment file may bind further names.
@@ -63,51 +65,45 @@ class EvalError(ValueError):
 class Token:
     kind: str
     value: str
-    line: int
-    col: int
+    pos: int  # offset into the text
 
 
 _SYMBOLS = set("^&#()[],|:;*+-/")
 
 
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based (line, column) of the offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
+            tokens.append(Token("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
+            tokens.append(Token("name", text[i:j], i))
             i = j
             continue
         if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
+            tokens.append(Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        raise ParseError(f"unexpected character {ch!r}", *_position(text, i))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -118,8 +114,14 @@ def tokenize(text: str) -> list[Token]:
 MAX_DEPTH = 100
 
 
+# Binary operators by precedence level, loosest first, each mapped to
+# its node; every level is left-associative.
+_LEVELS = ({"+": "add", "-": "sub"}, {"#": "tensor"}, {"&": "meet"}, {"^": "wedge"})
+
+
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -136,46 +138,27 @@ class Parser:
         tok = self.next()
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}",
-                             tok.line, tok.col)
+                             *_position(self.text, tok.pos))
         return tok
 
     def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_position(self.text, self.peek().pos))
 
     def parse(self):
-        node = self.additive()
+        node = self.binary()
         if self.peek().kind != "end":
             self.fail(f"trailing input {self.peek().value!r}")
         return node
 
-    def additive(self):
-        node = self.tensor()
-        while self.peek().kind in "+-":
-            op = self.next().kind
-            rhs = self.tensor()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def tensor(self):
-        node = self.meet()
-        while self.peek().kind == "#":
-            self.next()
-            node = ("tensor", node, self.meet())
-        return node
-
-    def meet(self):
-        node = self.wedge()
-        while self.peek().kind == "&":
-            self.next()
-            node = ("meet", node, self.wedge())
-        return node
-
-    def wedge(self):
-        node = self.unary()
-        while self.peek().kind == "^":
-            self.next()
-            node = ("wedge", node, self.unary())
+    def binary(self, level=0):
+        """A chain of the operators of ``_LEVELS[level]`` over operands
+        of the tighter levels; below the tightest level is ``unary``."""
+        ops = _LEVELS[level]
+        last = level == len(_LEVELS) - 1
+        node = self.unary() if last else self.binary(level + 1)
+        while self.peek().kind in ops:
+            op = ops[self.next().kind]
+            node = (op, node, self.unary() if last else self.binary(level + 1))
         return node
 
     def unary(self):
@@ -220,7 +203,7 @@ class Parser:
                 self.expect(",")
                 i = self._int()
                 self.expect(",")
-                body = self.additive()
+                body = self.binary()
                 self.expect(")")
                 return ("dia", h, j, i, body)
             if tok.value == "bp" and self.peek(1).kind == "(":
@@ -248,15 +231,15 @@ class Parser:
                 self.expect(")")
                 return ("lp", letter, place)
             self.next()
-            node = self.additive()
+            node = self.binary()
             self.expect(")")
             return node
         if tok.kind == "[":
             self.next()
-            items = [self.additive()]
+            items = [self.binary()]
             while self.peek().kind == ",":
                 self.next()
-                items.append(self.additive())
+                items.append(self.binary())
             self.expect("]")
             return ("bracket", items)
         self.fail(f"unexpected token {tok.value!r}")

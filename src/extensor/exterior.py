@@ -99,8 +99,11 @@ class ExteriorElement(SparseTerms):
     # -- ring structure ----------------------------------------------
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
-        """The join: bilinear, associative, graded-anticommutative."""
-        self._check(other)
+        """The join: bilinear, associative, graded-anticommutative.  An
+        operand that is not an exterior element raises TypeError."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot wedge {type(self).__name__} "
+                            f"and {type(other).__name__}")
         return self * other
 
     __xor__ = wedge

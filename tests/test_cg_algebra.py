@@ -125,6 +125,12 @@ class TestDotMeet:
         assert ps.dot_meet(e(3, 1, 2), e(3, 2, 3)) == -1 * e(3, 2)
         assert ps.meet(e(3, 1, 2), e(3, 2, 3)) == e(3, 2)
 
+    def test_other_dimension_is_refused(self):
+        ps = PeanoSpace.standard(3)
+        for a, b in ((e(2, 1), e(3, 1, 2)), (e(3, 1, 2), e(4, 1, 2, 3))):
+            with pytest.raises(DimensionMismatch):
+                ps.dot_meet(a, b)
+
     def test_sign_relation_to_meet(self):
         rng = random.Random(3)
         for _ in range(40):

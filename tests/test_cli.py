@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from extensor import cli
 from extensor.cg_algebra import standard_basis
-from extensor.cli import (MAX_DIM, Environment, EvalError, ParseError,
-                          build_parser, evaluate_text, main, parse,
-                          read_document)
+from extensor.cli import (MAX_DEPTH, MAX_DIM, Environment, EvalError,
+                          ParseError, build_parser, evaluate_text, main,
+                          parse, read_document)
 from extensor.exterior import ExteriorElement
 from extensor.linalg import MAX_DECIMAL_EXPONENT
 from extensor.whitney import MAX_ORACLE_DEGREE, make_matroid
@@ -65,6 +67,59 @@ class TestParser:
             parse("p1 ^ ^")
         assert err.value.col == 6
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("text,message,line,col", [
+        ("e1 ^\ne2 ^ ^", "unexpected token '^'", 2, 6),
+        ("e1 +\ne2 +\n  e3 & )", "unexpected token ')'", 3, 8),
+        ("e1 ^\t$", "unexpected character '$'", 1, 6),
+        ("e1 ^\r\ne2 ^ ^", "unexpected token '^'", 2, 6),
+        ("e1 ^\r\n\r\n\te2 ]", "trailing input ']'", 3, 5),
+        ("e1\n^ e2 e3", "trailing input 'e3'", 2, 6),
+        ("dia(1,2,1, e1 # e2", "expected ')', found ''", 1, 19),
+        ("dia(1,\n2, 1", "expected ',', found ''", 2, 5),
+        ("bp(ab; 1:1", "expected ')', found ''", 1, 11),
+        ("bp(ab;\n 1:1, 2:", "expected 'int', found ''", 2, 9),
+        ("e1 ^   ", "unexpected token ''", 1, 8),
+        ("(e1 ^ e2\n   ", "expected ')', found ''", 2, 4),
+    ])
+    def test_error_positions_across_lines(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at line {line}, column {col}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_nesting_fits_seven_frames_a_level(self):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        half = MAX_DEPTH // 2
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 7 * MAX_DEPTH)
+        try:
+            assert parse("(" * MAX_DEPTH + "e1" + ")" * MAX_DEPTH) == ("name", "e1")
+            node = parse("dia(1,2,1, " * half + "e1 # e2" + ")" * half)
+            for _ in range(half):
+                assert node[:4] == ("dia", 1, 2, 1)
+                node = node[4]
+            assert node == ("tensor", ("name", "e1"), ("name", "e2"))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_names_take_unicode_letters_and_numerals(self):
+        assert parse("x² ^ _a1") == ("wedge", ("name", "x²"), ("name", "_a1"))
+
+    def test_readme_grammar_matches_the_module_docstring(self):
+        def rules(text):
+            text = re.sub(r"\(\*.*?\*\)", "", text, flags=re.S)
+            return [" ".join(rule.split()) for rule in text.split(" ;")[:-1]]
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Expression grammar", 1)[1].split("```")[1]
+        doc = cli.__doc__.split("::", 1)[1].split("\n\n")[1]
+        assert rules(block) == rules(doc)
+        assert [r.split(" = ")[0] for r in rules(doc)] == [
+            "expr", "additive", "tensor", "meet", "wedge", "unary", "primary",
+            "NUMBER", "INT", "NAME"]
 
     def test_letterplace_atom_vs_parenthesis(self):
         assert parse("(x|1)")[0] == "lp"
@@ -202,6 +257,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unexpected token '' at line 1, column 3\n"
+
+    @pytest.mark.parametrize("command", ["eval", "straighten"])
+    @pytest.mark.parametrize("text,col", [("²", 1), ("e1 ^ ٣", 6), ("bp(ab; 1:1, ٢:1)", 13)])
+    def test_non_ascii_digits_are_refused_with_their_position(self, capsys, command,
+                                                              text, col):
+        assert main([command, "-e", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = next(ch for ch in text if ch.isdigit() and not ch.isascii())
+        assert captured.err == (f"error: unexpected character {bad!r} "
+                                f"at line 1, column {col}\n")
 
     def test_expression_options_in_every_spelling(self, capsys):
         for argv in (["eval", "-e=e1"], ["eval", "-ee1"], ["eval", "--expr", "e1"],

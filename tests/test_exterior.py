@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from extensor.exterior import (DimensionMismatch, ExteriorElement,
                                extensor_span, make_extensor, substitute,
                                unit_vector)
+from extensor.letterplace import LetterplaceElement
 from extensor.tensor_power import TensorPowerElement
 
 
@@ -119,6 +120,20 @@ class TestWedge:
             y = ExteriorElement.monomial(n, sorted(rng.sample(range(1, n + 1), b)),
                                          rand_fraction(rng))
             assert x.wedge(y) == (-1) ** (a * b) * y.wedge(x)
+
+
+    def test_foreign_operand_is_a_type_error(self):
+        x = ExteriorElement.unit(2)
+        for other in (3, Fraction(1, 2), LetterplaceElement.unit(1)):
+            name = type(other).__name__
+            with pytest.raises(TypeError, match=f"ExteriorElement and {name}$"):
+                x ^ other
+            with pytest.raises(TypeError, match=f"ExteriorElement and {name}$"):
+                x.wedge(other)
+        with pytest.raises(DimensionMismatch):
+            x ^ ExteriorElement.unit(3)
+        with pytest.raises(DimensionMismatch):
+            e(3, 1).wedge(e(2, 1))
 
 
 class TestSlice:
