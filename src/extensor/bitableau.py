@@ -60,10 +60,6 @@ class BitableauElement(IntegerTerms):
         return key
 
     @staticmethod
-    def _sort_key(rows):
-        return (len(rows), rows)
-
-    @staticmethod
     def _key_str(rows) -> str:
         return "^".join(str(r) for r in rows) if rows else "1"
 
@@ -247,12 +243,6 @@ def _compositions(total: int, caps):
             yield (r,) + rest
 
 
-def _straighten_key(rows: Rows):
-    """The term order of the rewrite: total word length, then the rows'
-    words and degrees.  Equal keys mean equal row tuples."""
-    return (sum(len(r.word) for r in rows), rows)
-
-
 def _row_coder(terms):
     """An int code for every row that the rewrite of ``terms`` can make,
     ordered as the rows' ``(word, degrees)`` tuples are.
@@ -303,13 +293,14 @@ _STANDARD = object()
 def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
     """Rewrite until every surviving row product is standard.
 
-    Each step takes the live term of least :func:`_straighten_key`.  The
-    loop works on rows coded as ints by :func:`_row_coder`, which order
-    as the rows do, so a term is a flat tuple of ints and comparing or
-    hashing it makes no Python-level call; the rows are decoded once, at
-    the end.  A heap beside the worklist holds ``(total, codes)``,
-    pushed when a term enters the worklist; an entry whose term has
-    since left the worklist is skipped when popped.  The total word
+    Each step takes the live term least in the heap's ``(total,
+    codes)`` order: the total word length of its rows, then the rows.
+    The loop works on rows coded as ints by :func:`_row_coder`, which
+    order as the rows do, so a term is a flat tuple of ints and
+    comparing or hashing it makes no Python-level call; the rows are
+    decoded once, at the end.  The heap beside the worklist gets a
+    term's entry when the term enters the worklist; an entry whose term
+    has since left the worklist is skipped when popped.  The total word
     length is carried from the parent term, because a rewrite keeps the
     content.  A table kept for the call maps each consecutive coded row
     pair met to its coded replacement, or to a mark when the pair is

@@ -170,27 +170,21 @@ class OrderedBasis:
 
         Elements given in ambient coordinates are first rewritten in
         this basis, starred there, and mapped back.  The basis keeps a
-        table from a word w to the star of e_w.  When one word of the
-        element is not in the table yet, its image is computed and
-        stored; when several are missing, one rewrite covers them all
-        and nothing is stored.  A rewrite is two substitutions, into
-        the basis and back, and the basis keeps the word-prefix table
-        of each, so every prefix image is wedged once per basis.
+        table from a word w to the star of e_w, and each word of the
+        element not in it yet has its image computed and stored.  A
+        rewrite is two substitutions, into the basis and back, and the
+        basis keeps the word-prefix table of each, so every prefix image
+        is wedged once per basis.
         """
         n = self.dim
         if a.dim != n:
             raise DimensionMismatch("element of another dimension")
         stars = self._stars
-        missing = [w for w in a.num if w not in stars]
-        if len(missing) == 1:
-            (word,) = missing
-            stars[word] = self._rewrite_star(ExteriorElement._trusted({word: 1}, 1, n))
+        for w in a.num:
+            if w not in stars:
+                stars[w] = self._rewrite_star(ExteriorElement._trusted({w: 1}, 1, n))
         # a's numerators now, its denominator at the end
-        parts = [(stars[w], c) for w, c in a.num.items() if w in stars]
-        if len(missing) > 1:
-            parts.append((self._rewrite_star(
-                ExteriorElement._trusted({w: a.num[w] for w in missing}, 1, n)), 1))
-        return ExteriorElement._sum(parts, n, den=a.den)
+        return ExteriorElement._sum([(stars[w], c) for w, c in a.num.items()], n, den=a.den)
 
     def _rewrite_star(self, a: ExteriorElement) -> ExteriorElement:
         """The star by rewriting a in this basis and back."""

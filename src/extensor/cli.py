@@ -340,7 +340,7 @@ def _non_finite(token: str):
 
 
 # binary operator nodes, ("add", left, right) and so on
-_BINARY = frozenset({"add", "sub", "tensor", "meet", "wedge"})
+_BINARY = frozenset(name for ops in _LEVELS for name in ops.values())
 
 
 class Evaluator:

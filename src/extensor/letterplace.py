@@ -5,25 +5,26 @@ place in 1..m; any two generators anticommute and squares vanish, so
 the square-free monomials in the canonical place-major order form a
 Z-basis.  The product is ``SparseTerms.__mul__`` over
 ``tensorops._product_terms``, with one merge of two place-major
-monomials as this class's ``_merge``.  Place polarizations move
-variables between places; their divided powers act on biproducts with
-integer coefficients.  The map :func:`phi` regroups a monomial by place
-into the m-fold tensor power of the free skew algebra on the letters, a
-``TensorPowerElement`` on letter folds with ``den == 1``, and is a
-Z-algebra isomorphism onto the integral elements intertwining divided
-polarizations with the geometric products
-:func:`~extensor.tensor_power.diamond`; :func:`phi_inv` maps back and
-refuses any other element.
+monomials as this class's ``_merge``.  The map :func:`phi` regroups a
+monomial by place into the m-fold tensor power of the free skew algebra
+on the letters, a ``TensorPowerElement`` on letter folds with
+``den == 1``; it is a Z-algebra isomorphism onto the integral elements,
+and :func:`phi_inv` maps back and refuses any other element.  Place
+polarizations move variables between places, and their divided powers
+act on biproducts with integer coefficients.  They are the geometric
+products: each regroups the numerators by place, runs
+``tensorops.diamond_terms`` on them and regroups back, so ``phi``
+intertwines them with :func:`~extensor.tensor_power.diamond` by
+construction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .tensor_power import TensorPowerElement
-from .tensorops import IntegerTerms, _sum_terms
+from .tensorops import IntegerTerms, _sum_terms, diamond_terms
 from .words import sort_with_sign, word_slices
 
 LPVar = tuple[str, int]          # (letter, place)
@@ -191,10 +192,7 @@ def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     """
     if not (1 <= k <= e.m and 1 <= h <= e.m):
         raise ValueError("place out of range")
-    if k != h:
-        return polarize_divided(1, k, h, e)
-    return e._like({mono: c * sum(1 for _, place in mono if place == h)
-                    for mono, c in e.num.items()})
+    return e._like(_unfold(diamond_terms(_fold(e.num, e.m), 1, k, h, e.m)))
 
 
 def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -202,9 +200,8 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
 
     Moves every h-subset of the place-i variables of a monomial to
     place j; this equals the h-th iterate divided by h! while staying
-    integral.  h = 0 is the identity.  Each image is the canonical
-    rest of the monomial merged with the moved variables, signed by
-    the parity of taking the chosen variables out to the end.
+    integral.  h = 0 is the identity.  It is the geometric product
+    ``diamond_terms(h, j, i)`` on the monomials regrouped by place.
     """
     if i == j:
         raise ValueError("divided powers need distinct places")
@@ -214,23 +211,7 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
         raise ValueError("place out of range")
     if h == 0:
         return e
-    base = h * (h - 1) // 2
-
-    def images():
-        for mono, c in e.num.items():
-            n = len(mono)
-            for chosen in combinations(
-                    [p for p, (_, place) in enumerate(mono) if place == i], h):
-                # the variable at position p passes the n - 1 - p after it,
-                # less the chosen ones, on its way to the end
-                parity = sum(n - 1 - p for p in chosen) - base
-                moved = tuple((mono[p][0], j) for p in chosen)
-                rest = tuple(v for p, v in enumerate(mono) if p not in chosen)
-                sign, image = _merge_monomials(rest, moved)
-                if sign:
-                    yield image, (-sign if parity & 1 else sign) * c
-
-    return e._like(_sum_terms(images()))
+    return e._like(_unfold(diamond_terms(_fold(e.num, e.m), h, j, i, e.m)))
 
 
 # -- biproducts ------------------------------------------------------
@@ -325,16 +306,30 @@ def expand_raw(word: Sequence[str], degrees, m: int) -> LetterplaceElement:
 
 # -- the place-regrouping isomorphism --------------------------------
 
+def _fold(num: dict, m: int) -> dict:
+    """Canonical monomials regrouped by place into m letter words."""
+    out, empty = {}, [()] * m
+    for mono, c in num.items():
+        folds = empty[:]
+        for x, i in mono:
+            folds[i - 1] += (x,)
+        out[tuple(folds)] = c
+    return out
+
+
+def _unfold(num: dict) -> dict:
+    """The inverse of :func:`_fold`."""
+    return {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
+            for key, c in num.items()}
+
+
 def phi(e: LetterplaceElement) -> TensorPowerElement:
     """Regroup each monomial by place into a pure tensor on letter folds.
 
     Sign-free on canonical monomials because the canonical order is
     place-major; the image is integral, ``den == 1``.
     """
-    places = range(1, e.m + 1)
-    return TensorPowerElement._trusted(
-        {tuple(tuple(x for x, i in mono if i == p) for p in places): c
-         for mono, c in e.num.items()}, 1, None, e.m)
+    return TensorPowerElement._trusted(_fold(e.num, e.m), 1, None, e.m)
 
 
 def phi_inv(t: TensorPowerElement) -> LetterplaceElement:
@@ -342,6 +337,4 @@ def phi_inv(t: TensorPowerElement) -> LetterplaceElement:
     letter folds or has a non-integral coefficient."""
     if t.dim is not None or t.den != 1:
         raise ValueError("phi_inv needs an integral element on letter folds")
-    return LetterplaceElement._trusted(
-        {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
-         for key, c in t.num.items()}, 1, t.m)
+    return LetterplaceElement._trusted(_unfold(t.num), 1, t.m)

@@ -21,8 +21,10 @@ the place-major monomial merge for letterplace elements, and
 :func:`_concat` for bitableaux.  A key product and the geometric
 product kernel :func:`diamond_terms` fold every +-1 factor of a term
 (Koszul, slice and merge signs) into one int sign, so a term costs at
-most one coefficient product.  The kernels never divide: their terms
-are integers or numerators.  The outer-product kernel sums pure
+most one coefficient product.  :func:`diamond_terms` is also the
+letterplace polarizations, run on numerators regrouped by place into
+letter folds.  The kernels never divide: their terms are integers or
+numerators.  The outer-product kernel sums pure
 tensors for its one caller, ``TensorPowerElement._pure_sum``.
 
 Summation lives here too.  Every linear and bilinear map in the package

@@ -11,7 +11,6 @@ from extensor import bitableau, linalg
 from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
                                 _compositions, _degree_moves, _first_violation,
                                 _rewrite_pair, _row_coder, _standard_candidates,
-                                _straighten_key,
                                 is_doubly_standard, is_standard,
                                 shuffle_identity_sides, standard_expansion,
                                 straighten)
@@ -186,6 +185,12 @@ class TestStraighten:
             rows_of(2, ("ab", degrees))
 
 
+def straighten_key(rows):
+    """The term order of the rewrite: total word length, then the rows'
+    words and degrees, as ``straighten``'s heap orders its coded terms."""
+    return (sum(len(r.word) for r in rows), rows)
+
+
 def reference_straighten(e):
     """The rewrite loop without a heap or a memo: each step takes
     ``min`` over the worklist and rebuilds the pair rewrite.  Returns
@@ -194,7 +199,7 @@ def reference_straighten(e):
     done = {}
     steps = 0
     while work:
-        rows = min(work, key=_straighten_key)
+        rows = min(work, key=straighten_key)
         coeff = work.pop(rows)
         idx = _first_violation(rows)
         if idx is None:
@@ -231,7 +236,7 @@ def one_step(b):
 
 
 def _key_of_term(term):
-    return _straighten_key(term[0])
+    return straighten_key(term[0])
 
 
 def deglex(terms):
@@ -344,10 +349,10 @@ class TestStraightenInvariants:
     @settings(max_examples=300, deadline=None)
     @given(row_tuple_pairs())
     def test_the_key_tells_row_tuples_apart(self, pair):
-        # the heap holds (key, rows): equal keys must mean equal rows,
-        # so that ordering two entries never compares biproducts
+        # equal keys of the reference order must mean equal rows, so
+        # that sorting (key, rows) entries never falls through to rows
         a, b = pair
-        ka, kb = _straighten_key(a), _straighten_key(b)
+        ka, kb = straighten_key(a), straighten_key(b)
         assert (ka == kb) == (a == b)
         sorted([(ka, a), (kb, b)])
 
@@ -366,7 +371,7 @@ class TestStraightenInvariants:
                  for rows in rows_list]
         for a, ca in zip(rows_list, coded):
             for b, cb in zip(rows_list, coded):
-                ka, kb = _straighten_key(a), _straighten_key(b)
+                ka, kb = straighten_key(a), straighten_key(b)
                 assert (ca < cb) == (ka < kb)
                 assert (ca == cb) == (a == b)
 

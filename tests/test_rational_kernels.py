@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from extensor import linalg
@@ -250,6 +251,31 @@ def test_diamond_matches_the_per_term_reference(data):
     j, i = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
     h = 1 if i == j else data.draw(st.integers(0, 3))
     assert_stored(diamond(h, j, i, t), ref_diamond(h, j, i, t))
+
+
+LETTER_WORDS = [w for k in range(5) for w in combinations("abcd", k)]
+
+
+@st.composite
+def letter_tensor(draw, m, max_terms=5):
+    keys = st.tuples(*[st.sampled_from(LETTER_WORDS)] * m)
+    return TensorPowerElement(None, m, draw(st.dictionaries(keys, coefficients,
+                                                           max_size=max_terms)))
+
+
+@pytest.mark.parametrize("j, i", [(2, 1), (3, 1), (1, 2), (1, 3), (2, 2)])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diamond_on_letter_folds_matches_the_per_term_reference(j, i, data):
+    # the kernel behind the letterplace polarizations: raising (i < j)
+    # and lowering (i > j), across a fold or next to it, the diagonal,
+    # and powers past the length of every source fold
+    t = data.draw(letter_tensor(3))
+    h = 1 if i == j else data.draw(st.integers(0, 5))
+    assert_stored(diamond(h, j, i, t), ref_diamond(h, j, i, t))
+    if i != j:
+        past = 1 + max((len(key[i - 1]) for key in t.num), default=0)
+        assert_stored(diamond(past, j, i, t), {})
 
 
 @given(coefficients.filter(bool))
