@@ -57,6 +57,9 @@ class BitableauElement(IntegerTerms):
                 raise ValueError("rows must be nonunit biproducts")
             if any(not 1 <= p <= self.m for p, _ in row.degrees):
                 raise ValueError("row uses a place outside 1..m")
+            word = row.word
+            if len(set(word)) < len(word) or len(word) != sum(q for _, q in row.degrees):
+                raise ValueError(f"row {row} has value zero")
         return key
 
     @staticmethod

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .exterior import (DimensionMismatch, ExteriorElement, Vector, as_vector,
                        make_extensor, substitute)
 from .tensorops import _sum_terms
@@ -131,8 +130,7 @@ def join(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
 class OrderedBasis:
     """An ordered basis of the space, carrying its Hodge star operator."""
 
-    __slots__ = ("vectors", "F", "_to_basis", "_from_basis", "_stars",
-                 "_to_prefixes", "_from_prefixes")
+    __slots__ = ("vectors", "F", "_rows", "_columns", "_stars")
 
     def __init__(self, vectors: Sequence):
         vecs = [as_vector(v) for v in vectors]
@@ -144,18 +142,11 @@ class OrderedBasis:
             raise ValueError("basis vectors are dependent")
         self.vectors: tuple[Vector, ...] = tuple(vecs)
         self.F = F
-        # transition matrix P has the basis vectors as columns
-        p = [[vecs[j][i] for j in range(n)] for i in range(n)]
-        pinv = linalg.invert(p)
-        self._from_basis = [ExteriorElement.from_vector(v) for v in vecs]
-        self._to_basis = [
-            ExteriorElement(n, {(i + 1,): pinv[i][j] for i in range(n) if pinv[i][j]})
-            for j in range(n)]
+        # the images of L(P^T) and L(P), P having the basis vectors as columns
+        self._rows = [ExteriorElement.from_vector(r) for r in zip(*vecs)]
+        self._columns = [ExteriorElement.from_vector(v) for v in vecs]
         # star image of e_word, filled one word at a time by star()
         self._stars: dict = {}
-        # the substitute prefix tables of _to_basis and _from_basis
-        self._to_prefixes: dict = {}
-        self._from_prefixes: dict = {}
 
     @property
     def dim(self) -> int:
@@ -168,34 +159,27 @@ class OrderedBasis:
     def star(self, a: ExteriorElement) -> ExteriorElement:
         """Signed complement of canonical extensors, extended linearly.
 
-        Elements given in ambient coordinates are first rewritten in
-        this basis, starred there, and mapped back.  The basis keeps a
-        table from a word w to the star of e_w, and each word of the
-        element not in it yet has its image computed and stored.  A
-        rewrite is two substitutions, into the basis and back, and the
-        basis keeps the word-prefix table of each, so every prefix image
-        is wedged once per basis.
+        With P the matrix of the basis vectors as columns and L(P) the
+        algebra morphism it induces, this is L(P) L(P^T) * / det P for
+        the standard star *, by * L(A) = det A L(A^-T) * at A = P^-1, so
+        no inverse is needed.  The basis keeps a table from a word w to
+        the star of e_w; each word of the element not in it yet costs
+        two substitutions (``exterior.substitute``) and is stored.
         """
         n = self.dim
         if a.dim != n:
             raise DimensionMismatch("element of another dimension")
-        stars = self._stars
+        stars, full = self._stars, range(1, n + 1)
         for w in a.num:
             if w not in stars:
-                stars[w] = self._rewrite_star(ExteriorElement._trusted({w: 1}, 1, n))
+                comp = tuple(i for i in full if i not in w)
+                # 1 / det P = F.den / F.num[full], its sign moved to the numerator
+                top = self.F.num[tuple(full)]
+                sign = merge_words(w, comp)[0] if top > 0 else -merge_words(w, comp)[0]
+                starred = ExteriorElement._trusted({comp: sign * self.F.den}, abs(top), n)
+                stars[w] = substitute(substitute(starred, self._rows), self._columns)
         # a's numerators now, its denominator at the end
         return ExteriorElement._sum([(stars[w], c) for w, c in a.num.items()], n, den=a.den)
-
-    def _rewrite_star(self, a: ExteriorElement) -> ExteriorElement:
-        """The star by rewriting a in this basis and back."""
-        n = self.dim
-        in_basis = substitute(a, self._to_basis, self._to_prefixes)
-        full = range(1, n + 1)
-        starred = {comp: merge_words(word, comp)[0] * c
-                   for word, c in in_basis.num.items()
-                   for comp in [tuple(i for i in full if i not in word)]}
-        return substitute(ExteriorElement._trusted(starred, in_basis.den, n),
-                          self._from_basis, self._from_prefixes)
 
     def star_tensor(self, t) -> "TensorPowerElement":
         """The star applied to every fold of a tensor power element."""

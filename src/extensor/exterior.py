@@ -14,10 +14,8 @@ The wedge is the package's one product, ``SparseTerms.__mul__`` over
 :mod:`extensor.words` as this class's ``_merge``: ``a * b`` and
 ``a ^ b`` are both ``a.wedge(b)``.  :func:`make_extensor`,
 :func:`substitute` and :func:`extensor_span` call that kernel on
-numerator maps directly.  :func:`substitute` wedges the image of each
-word prefix once per prefix table, and a caller that applies the same
-images many times (an :class:`~extensor.cg_algebra.OrderedBasis` star)
-keeps one table across calls.  Extensors are built fraction-free: each
+numerator maps directly, and :func:`substitute` wedges the image of
+each word prefix once per call.  Extensors are built fraction-free: each
 vector is scaled to integers once, the integer vectors are wedged as
 numerator maps, and one element is built at the end.
 :func:`extensor_span` hands the integer numerators of ``e_i ^ a`` to
@@ -179,18 +177,13 @@ def make_extensor(vectors: Sequence, dim: int | None = None) -> ExteriorElement:
     return ExteriorElement._trusted(num, den, dim)
 
 
-def substitute(a: ExteriorElement, images: Sequence[ExteriorElement],
-               prefixes: dict | None = None) -> ExteriorElement:
+def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> ExteriorElement:
     """Apply the algebra morphism sending basis vector i to images[i-1].
 
     The images are written over one common denominator ``d``, so the
     image of a word of length k has numerators over ``d**k``.  The image
-    of each word prefix is wedged once per prefix table: ``prefixes``
-    maps a word to its image numerators and is filled as words are met.
-    A caller that substitutes many elements with the same ``images``
-    can keep one table for them; it is valid only for those images.
-    Without a table, each call starts a fresh one.  The result is the
-    same either way.
+    of each word prefix is wedged once per call: a table maps the
+    prefixes met so far to their image numerators.
     """
     if len(images) != a.dim:
         raise DimensionMismatch("need one image per basis vector")
@@ -200,9 +193,7 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement],
             raise DimensionMismatch(f"dim {tdim} and {x.dim} differ")
     d = lcm(*(x.den for x in images))
     nums = [{w: n * (d // x.den) for w, n in x.num.items()} for x in images]
-    if prefixes is None:
-        prefixes = {}
-    prefixes.setdefault((), {(): 1})
+    prefixes: dict = {(): {(): 1}}
 
     def image(word):
         out = prefixes.get(word)

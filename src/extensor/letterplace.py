@@ -192,7 +192,7 @@ def polarize(k: int, h: int, e: LetterplaceElement) -> LetterplaceElement:
     """
     if not (1 <= k <= e.m and 1 <= h <= e.m):
         raise ValueError("place out of range")
-    return e._like(_unfold(diamond_terms(_fold(e.num, e.m), 1, k, h, e.m)))
+    return _place_diamond(e, 1, k, h)
 
 
 def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> LetterplaceElement:
@@ -205,13 +205,24 @@ def polarize_divided(h: int, j: int, i: int, e: LetterplaceElement) -> Letterpla
     """
     if i == j:
         raise ValueError("divided powers need distinct places")
-    if h < 0:
-        raise ValueError("negative power")
     if not (1 <= i <= e.m and 1 <= j <= e.m):
         raise ValueError("place out of range")
     if h == 0:
         return e
-    return e._like(_unfold(diamond_terms(_fold(e.num, e.m), h, j, i, e.m)))
+    return _place_diamond(e, h, j, i)
+
+
+def _place_diamond(e: LetterplaceElement, h: int, j: int, i: int) -> LetterplaceElement:
+    """``diamond_terms(h, j, i)`` on e regrouped by place, over only the
+    places e uses and i and j: an empty fold moves nothing and adds no
+    sign, so the cost does not grow with m."""
+    places = {i, j}
+    if len(places) < e.m:
+        places.update(p for mono in e.num for _, p in mono)
+    places = sorted(places)
+    at = places.index
+    return e._like(_unfold(diamond_terms(_fold(e.num, places), h, at(j) + 1, at(i) + 1,
+                                         len(places)), places))
 
 
 # -- biproducts ------------------------------------------------------
@@ -306,20 +317,22 @@ def expand_raw(word: Sequence[str], degrees, m: int) -> LetterplaceElement:
 
 # -- the place-regrouping isomorphism --------------------------------
 
-def _fold(num: dict, m: int) -> dict:
-    """Canonical monomials regrouped by place into m letter words."""
-    out, empty = {}, [()] * m
+def _fold(num: dict, places) -> dict:
+    """Canonical monomials regrouped into one letter word per entry of
+    ``places``, a sorted sequence holding every place they use."""
+    out, empty = {}, [()] * len(places)
+    slot = {p: k for k, p in enumerate(places)}
     for mono, c in num.items():
         folds = empty[:]
         for x, i in mono:
-            folds[i - 1] += (x,)
+            folds[slot[i]] += (x,)
         out[tuple(folds)] = c
     return out
 
 
-def _unfold(num: dict) -> dict:
-    """The inverse of :func:`_fold`."""
-    return {tuple((x, i) for i, w in enumerate(key, start=1) for x in w): c
+def _unfold(num: dict, places) -> dict:
+    """The inverse of :func:`_fold` on the same ``places``."""
+    return {tuple((x, p) for p, w in zip(places, key) for x in w): c
             for key, c in num.items()}
 
 
@@ -329,7 +342,7 @@ def phi(e: LetterplaceElement) -> TensorPowerElement:
     Sign-free on canonical monomials because the canonical order is
     place-major; the image is integral, ``den == 1``.
     """
-    return TensorPowerElement._trusted(_fold(e.num, e.m), 1, None, e.m)
+    return TensorPowerElement._trusted(_fold(e.num, range(1, e.m + 1)), 1, None, e.m)
 
 
 def phi_inv(t: TensorPowerElement) -> LetterplaceElement:
@@ -337,4 +350,4 @@ def phi_inv(t: TensorPowerElement) -> LetterplaceElement:
     letter folds or has a non-integral coefficient."""
     if t.dim is not None or t.den != 1:
         raise ValueError("phi_inv needs an integral element on letter folds")
-    return LetterplaceElement._trusted(_unfold(t.num), 1, t.m)
+    return LetterplaceElement._trusted(_unfold(t.num, range(1, t.m + 1)), 1, t.m)

@@ -150,9 +150,7 @@ class Matroid:
         def rank_fn(subset: frozenset) -> int:
             return linalg.rank([list(vecs[x]) for x in sorted(subset)])
 
-        mat = cls(letters, rank_fn, name=f"linear({''.join(letters)})")
-        mat.columns = dict(vecs)
-        return mat
+        return cls(letters, rank_fn, name=f"linear({''.join(letters)})")
 
 
 def make_matroid(doc: Mapping) -> Matroid:
@@ -525,9 +523,18 @@ def exchange_check(u: Sequence[str], v: Sequence[str], matroid: Matroid) -> bool
 
 # -- representation morphisms ------------------------------------------
 
-def check_representation(matroid: Matroid, images: Mapping[str, Sequence]) -> None:
-    """Raise unless every dependency of the matroid maps to one of vectors."""
+def check_representation(matroid: Matroid, images: Mapping[str, Sequence]) -> dict:
+    """The images of the ground set as vectors, checked to represent the
+    matroid: ValueError on a letter without an image or on unequal
+    lengths, NotARepresentation when a dependent set maps to independent
+    vectors."""
+    missing = [x for x in matroid.ground if x not in images]
+    if missing:
+        raise ValueError(f"no image for letter {missing[0]!r}")
     vecs = {x: as_vector(images[x]) for x in matroid.ground}
+    lengths = sorted({len(v) for v in vecs.values()})
+    if len(lengths) > 1:
+        raise ValueError(f"images of unequal lengths {lengths}")
     rank_cap = matroid.full_rank() + 1
     for size in range(1, min(rank_cap, len(matroid.ground)) + 1):
         for sub in combinations(matroid.ground, size):
@@ -536,6 +543,7 @@ def check_representation(matroid: Matroid, images: Mapping[str, Sequence]) -> No
             if linalg.rank([list(vecs[x]) for x in sub]) == len(sub):
                 raise NotARepresentation(
                     f"dependent set {''.join(sub)} maps to independent vectors")
+    return vecs
 
 
 def represent(images: Mapping[str, Sequence], e: WhitneyElement) -> TensorPowerElement:
@@ -545,8 +553,7 @@ def represent(images: Mapping[str, Sequence], e: WhitneyElement) -> TensorPowerE
     respect the matroid's dependencies first, so the defining ideal
     maps to zero and the value only depends on the class of e.
     """
-    check_representation(e.matroid, images)
-    vecs = {x: as_vector(images[x]) for x in e.matroid.ground}
+    vecs = check_representation(e.matroid, images)
     dim = len(next(iter(vecs.values()))) if vecs else 0
     return TensorPowerElement._pure_sum(
         ((c, [make_extensor([vecs[x] for x in w], dim) for w in key])

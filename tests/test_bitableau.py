@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import comb, prod
@@ -16,7 +17,7 @@ from extensor.bitableau import (BitableauElement, StraighteningBudgetExceeded,
                                 straighten)
 from extensor.letterplace import (Biproduct, LetterplaceElement, _graded_components,
                                   _sum_products, biproduct_expand, expand_raw,
-                                  make_biproduct)
+                                  make_biproduct, polarize, polarize_divided)
 from extensor.tensorops import _sum_terms
 
 LETTERS = "abcdef"
@@ -179,10 +180,32 @@ class TestStraighten:
         e = LetterplaceElement.generator(m, "b", 1) * LetterplaceElement.generator(m, "a", m)
         assert BitableauElement.from_letterplace(e) == rows_of(m, ("b", {1: 1}), ("a", {m: 1}))
 
+    def test_polarizations_cost_nothing_per_unused_place(self):
+        m = 10 ** 6
+        gen = LetterplaceElement.generator
+        tracemalloc.start()
+        try:
+            near = polarize_divided(1, 2, 1, gen(m, "b", 1) * gen(m, "a", 2))
+            far = polarize(m - 1, m, gen(m, "b", 1) * gen(m, "a", m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert near == -(gen(m, "a", 2) * gen(m, "b", 2))
+        assert far == gen(m, "b", 1) * gen(m, "a", m - 1)
+        assert peak < 10 ** 6
+
     @pytest.mark.parametrize("degrees", [{0: 1, 1: 1}, {1: 1, 3: 1}])
     def test_row_place_outside_one_to_m_is_refused(self, degrees):
         with pytest.raises(ValueError):
             rows_of(2, ("ab", degrees))
+
+    @pytest.mark.parametrize("row", [Biproduct(("a",), ((1, 2),)),
+                                     Biproduct(("a", "a"), ((1, 2),)),
+                                     Biproduct(("a", "b"), ((1, 1), (2, 2)))])
+    def test_row_of_value_zero_is_refused(self, row):
+        with pytest.raises(ValueError, match="value zero"):
+            BitableauElement(2, {(row,): 1})
+        assert not rows_of(2, (row.word, dict(row.degrees)))
 
 
 def straighten_key(rows):

@@ -3,6 +3,7 @@ definitions, which are built here from public operations only."""
 
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -56,6 +57,16 @@ def reference_star(basis, x):
         comp = tuple(i for i in full if i not in w)
         starred = starred + ExteriorElement.monomial(n, comp, merge_words(w, comp)[0] * c)
     return substitute(starred, from_basis)
+
+
+def stars_without_elimination(rows):
+    """A basis of the rows and the star of every word, built while
+    ``SparseEchelon.insert`` raises, so neither may eliminate."""
+    with patch.object(linalg.SparseEchelon, "insert",
+                      side_effect=AssertionError("the star eliminated")):
+        basis = OrderedBasis(rows)
+        n = basis.dim
+        return basis, {w: basis.star(ExteriorElement.monomial(n, w)) for w in words(n)}
 
 
 @st.composite
@@ -127,6 +138,21 @@ def meet_instances(draw):
     a = draw(elements(n, draw(st.integers(0, n))))
     b = draw(elements(n, draw(st.integers(0, n))))
     return ps, a, b
+
+
+class TestStarWithoutInverse:
+    @settings(max_examples=40, deadline=None)
+    @given(bases())
+    def test_a_star_runs_no_elimination(self, drawn):
+        basis, stars = stars_without_elimination(drawn.vectors)
+        for w, star in stars.items():
+            assert star == reference_star(basis, ExteriorElement.monomial(basis.dim, w))
+
+    def test_a_negative_determinant_other_than_one(self):
+        basis, stars = stars_without_elimination([(0, 1, 0), (1, 0, 0), (0, 0, 2)])
+        assert basis.F == ExteriorElement.monomial(3, (1, 2, 3), -2)
+        for w, star in stars.items():
+            assert star == reference_star(basis, ExteriorElement.monomial(3, w))
 
 
 class TestMeetProperties:

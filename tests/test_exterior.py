@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from extensor.exterior import (DimensionMismatch, ExteriorElement,
                                extensor_span, make_extensor, substitute,
@@ -229,43 +228,3 @@ class TestSpanAndSubstitute:
         x = rand_element(rng, 3)
         assert substitute(x, imgs) == x
 
-
-fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
-
-
-@st.composite
-def elements(draw, n):
-    """A random element of dimension n, of mixed steps; maybe zero."""
-    words = [w for k in range(n + 1) for w in combinations(range(1, n + 1), k)]
-    chosen = draw(st.lists(st.sampled_from(words), unique=True, max_size=6))
-    return ExteriorElement(n, {w: draw(fractions) for w in chosen})
-
-
-@st.composite
-def images_and_elements(draw):
-    n = draw(st.integers(1, 4))
-    tdim = draw(st.integers(1, 4))
-    images = draw(st.lists(elements(tdim), min_size=n, max_size=n))
-    xs = draw(st.lists(elements(n), min_size=1, max_size=5))
-    return images, xs
-
-
-class TestSharedPrefixTable:
-    @settings(max_examples=80, deadline=None)
-    @given(images_and_elements())
-    def test_a_shared_table_gives_the_fresh_result(self, data):
-        images, xs = data
-        table: dict = {}
-        for x in xs + xs[::-1]:
-            assert substitute(x, images, table) == substitute(x, images)
-
-    def test_each_prefix_is_wedged_once_per_table(self):
-        images = [ExteriorElement.from_vector(v)
-                  for v in ((1, 2, 0), (0, 1, 3), (1, 0, 1))]
-        table: dict = {}
-        substitute(e(3, 1, 2), images, table)
-        assert set(table) == {(), (1,), (1, 2)}
-        first = table[(1, 2)]
-        substitute(e(3, 1, 2, 3) + e(3, 1), images, table)
-        assert set(table) == {(), (1,), (1, 2), (1, 2, 3)}
-        assert table[(1, 2)] is first

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product as iproduct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +316,20 @@ class TestRepresent:
         images = {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
         with pytest.raises(NotARepresentation):
             check_representation(m, images)
+
+    @pytest.mark.parametrize("images, message", [
+        ({"a": (1, 0), "b": (0, 1), "c": (1,)}, r"unequal lengths \[1, 2\]"),
+        ({"a": (1, 0), "b": (0, 1)}, "no image for letter 'c'")])
+    def test_ragged_or_partial_images_are_refused(self, images, message):
+        m = Matroid.uniform(3, 2)
+        e = WhitneyElement(m, LetterplaceElement.generator(2, "a", 1))
+        with patch.object(linalg, "rank", side_effect=AssertionError("rank queried")), \
+                patch.object(m, "rank", side_effect=AssertionError("rank queried")):
+            for call in (lambda: check_representation(m, images),
+                         lambda: represent(images, e)):
+                with pytest.raises(ValueError, match=message) as info:
+                    call()
+                assert type(info.value) is ValueError
 
     def test_representability_probe(self):
         # products of independent words stay nonzero for realizable cases
