@@ -35,7 +35,7 @@ from .letterplace import (Biproduct, LetterplaceElement, biproduct_expand,
                           _graded_components, _letter_pattern, _merge_monomials,
                           _renamed, _shared_echelon, make_biproduct)
 from .tensorops import IntegerTerms, _concat, _product_terms, _sum_terms
-from .words import sort_word, word_slices
+from .words import _compositions, sort_word, word_slices
 
 
 class StraighteningBudgetExceeded(RuntimeError):
@@ -57,9 +57,11 @@ class BitableauElement(IntegerTerms):
                 raise ValueError("rows must be nonunit biproducts")
             if any(not 1 <= p <= self.m for p, _ in row.degrees):
                 raise ValueError("row uses a place outside 1..m")
-            word = row.word
-            if len(set(word)) < len(word) or len(word) != sum(q for _, q in row.degrees):
+            sign, normal = make_biproduct(*row)
+            if normal is None:
                 raise ValueError(f"row {row} has value zero")
+            if sign != 1 or normal != row:
+                raise ValueError(f"row {row} is not a normalized biproduct")
         return key
 
     @staticmethod
@@ -136,20 +138,6 @@ def _first_violation(rows: Rows):
     return None
 
 
-def _deg_add(degrees, extra: dict[int, int]):
-    d = dict(degrees)
-    for p, q in extra.items():
-        d[p] = d.get(p, 0) + q
-    return tuple(sorted((p, q) for p, q in d.items() if q))
-
-
-def _deg_sub(degrees, taken: dict[int, int]):
-    d = dict(degrees)
-    for p, q in taken.items():
-        d[p] -= q
-    return tuple(sorted((p, q) for p, q in d.items() if q))
-
-
 def _pair_terms(sign: int, upper, up, lower, down) -> list[tuple[int, Rows]]:
     """The row pair (upper|up)(lower|down) with its words sorted, or
     nothing when a word repeats a letter.  The rewrite passes normalized
@@ -219,31 +207,18 @@ def _degree_moves(mu1, mu2, usize: int) -> tuple:
     key = (mu1, mu2, usize)
     moves = _move_tables.get(key)
     if moves is None:
-        qcaps = dict(mu2)
-        places = sorted(qcaps)
-        mu1d = dict(mu1)
         built = []
-        for rvec in _compositions(usize + 1, [qcaps[pl] for pl in places]):
-            extra = dict(zip(places, rvec))
+        for rvec in _compositions(usize + 1, [q for _, q in mu2]):
+            up = dict(mu1)
             cr = 1
-            for pl, r in extra.items():
-                cr *= comb(mu1d.get(pl, 0) + r, r)
-            built.append((cr, _deg_add(mu1, extra), _deg_sub(mu2, extra)))
+            for (pl, _), r in zip(mu2, rvec):
+                if r:
+                    up[pl] = up.get(pl, 0) + r
+                    cr *= comb(up[pl], r)
+            built.append((cr, tuple(sorted(up.items())),
+                          tuple((pl, q - r) for (pl, q), r in zip(mu2, rvec) if q > r)))
         moves = _move_tables[key] = tuple(built)
     return moves
-
-
-def _compositions(total: int, caps):
-    """Vectors below ``caps`` entrywise that sum to ``total``, in
-    lexicographic order."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    room = sum(caps[1:])
-    for r in range(max(0, total - room), min(caps[0], total) + 1):
-        for rest in _compositions(total - r, caps[1:]):
-            yield (r,) + rest
 
 
 def _row_coder(terms):

@@ -272,8 +272,7 @@ def _max_place(node) -> int:
 # Largest ambient dimension.  The environment builds dim unit vectors
 # up front, and a star substitutes each new word's complement twice: a
 # vector with dim nonzero coordinates takes 0.03-0.07 s at 64 and 2.0-2.3 s
-# at 256 (Python 3.11.7, 2-vCPU x86_64), and a word of about 1000
-# indices overflows the recursion of exterior.substitute.
+# at 256 (Python 3.11.7, 2-vCPU x86_64).
 MAX_DIM = 64
 
 

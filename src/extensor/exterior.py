@@ -135,6 +135,8 @@ class ExteriorElement(SparseTerms):
         from .tensor_power import TensorPowerElement
 
         parts = tuple(int(p) for p in parts)
+        if not parts:
+            raise ValueError("a slice needs at least one part")
         if any(p < 0 for p in parts):
             raise ValueError("negative part size")
         total = sum(parts)
@@ -183,7 +185,8 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> Exterio
     The images are written over one common denominator ``d``, so the
     image of a word of length k has numerators over ``d**k``.  The image
     of each word prefix is wedged once per call: a table maps the
-    prefixes met so far to their image numerators.
+    prefixes met so far to their image numerators, and a word's image
+    extends the longest prefix of it in the table one index at a time.
     """
     if len(images) != a.dim:
         raise DimensionMismatch("need one image per basis vector")
@@ -196,11 +199,14 @@ def substitute(a: ExteriorElement, images: Sequence[ExteriorElement]) -> Exterio
     prefixes: dict = {(): {(): 1}}
 
     def image(word):
-        out = prefixes.get(word)
-        if out is None:
-            out = {w: n for w, n in _product_terms(image(word[:-1]), nums[word[-1] - 1],
-                                                     merge_words).items() if n}
-            prefixes[word] = out
+        k = len(word)
+        while word[:k] not in prefixes:
+            k -= 1
+        out = prefixes[word[:k]]
+        for k in range(k + 1, len(word) + 1):
+            out = prefixes[word[:k]] = {
+                w: n for w, n in _product_terms(out, nums[word[k - 1] - 1],
+                                                merge_words).items() if n}
         return out
 
     top = max(map(len, a.num), default=0)

@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, permutations
 
 from .cg_algebra import OrderedBasis, PeanoSpace, standard_basis
 from .exterior import ExteriorElement, extensor_span, make_extensor
 from .tensor_power import TensorPowerElement, contains, diamond
 from .tensorops import _sum_terms
-from .words import inversions
+from .words import _compositions, inversions
 from . import linalg
 
 
@@ -142,9 +142,7 @@ def verify_distributive(a, b, cexts, ps: PeanoSpace) -> Report:
     lhs = scalar_of(ps.meet(a.wedge(b), ps.meet_chain(*cexts)))
 
     def parts():
-        for ivec in iproduct(*(range(q + 1) for q in qs)):
-            if sum(ivec) != s:
-                continue
+        for ivec in _compositions(s, qs):
             eps = (-1) ** sum(ivec[h] * (qs[k] - ivec[k])
                               for h in range(r) for k in range(h))
             sl = b.slice(tuple(q - i for q, i in zip(qs, ivec)))

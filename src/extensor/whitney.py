@@ -20,7 +20,7 @@ met, not of components.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import json
@@ -37,7 +37,7 @@ from .letterplace import (LetterplaceElement, _counts, _expand_biproduct,
                           _renamed, _shared_echelon, _var_key, phi)
 from .tensor_power import TensorPowerElement
 from .tensorops import _product_terms
-from .words import merge_words, sort_word, word_slices
+from .words import _compositions, merge_words, sort_word, word_slices
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # the highest component degree the membership oracle builds an echelon for
@@ -380,25 +380,22 @@ def _build_ideal_echelon(pdeg_t: tuple, content_t: tuple, m: int,
     sum of products of a biproduct of C with one of the rest of w, so
     every generator of w is a sum of monomial multiples of generators of
     C in the same component.  Each word is sorted and each generator
-    degree sums to its length, so the generators come straight from the
-    biproduct expansion."""
-    pdeg = dict(pdeg_t)
+    degree is a :func:`words._compositions` split of its length over the
+    component's own places, so the generators come straight from the
+    biproduct expansion and a place the component does not use costs
+    nothing."""
     content = dict(content_t)
     letters = [x for x, _ in content_t]
     echelon = linalg.SparseEchelon()
     for sub in subsets:
         wset = tuple(letters[i] for i in sub)
-        size = len(wset)
         rest_content = dict(content)
         for x in wset:
             rest_content[x] -= 1
-        for comp in iproduct(*(range(pdeg.get(p, 0) + 1)
-                               for p in range(1, m + 1))):
-            if sum(comp) != size:
-                continue
-            gen_deg = tuple((p + 1, q) for p, q in enumerate(comp) if q)
+        for comp in _compositions(len(wset), [q for _, q in pdeg_t]):
+            gen_deg = tuple((p, r) for (p, _), r in zip(pdeg_t, comp) if r)
             gen = _expand_biproduct(wset, gen_deg, m).num
-            rest_pdeg = {p: pdeg.get(p, 0) - q for p, q in enumerate(comp, start=1)}
+            rest_pdeg = {p: q - r for (p, q), r in zip(pdeg_t, comp)}
             for mono in _monomials_with(rest_content, rest_pdeg, m):
                 # a product with one monomial maps distinct terms to
                 # distinct terms, so nothing is summed and nothing cancels
@@ -424,7 +421,8 @@ def ideal_membership_bruteforce(e: LetterplaceElement, matroid: Matroid,
     matroid does, so the matroid's memory grows with the number of
     patterns the oracle has met, not of components.  Every component of
     ``e`` is checked against ``max_degree`` before any is looked up or
-    built.
+    built.  Like the normal form, it costs nothing per place that no
+    component uses.
     """
     if components is None:
         components = _graded_components(e)
@@ -535,14 +533,10 @@ def check_representation(matroid: Matroid, images: Mapping[str, Sequence]) -> di
     lengths = sorted({len(v) for v in vecs.values()})
     if len(lengths) > 1:
         raise ValueError(f"images of unequal lengths {lengths}")
-    rank_cap = matroid.full_rank() + 1
-    for size in range(1, min(rank_cap, len(matroid.ground)) + 1):
-        for sub in combinations(matroid.ground, size):
-            if matroid.is_independent(sub):
-                continue
-            if linalg.rank([list(vecs[x]) for x in sub]) == len(sub):
-                raise NotARepresentation(
-                    f"dependent set {''.join(sub)} maps to independent vectors")
+    for sub in matroid.dependent_sorted_words(matroid.full_rank() + 1):
+        if linalg.rank([list(vecs[x]) for x in sub]) == len(sub):
+            raise NotARepresentation(
+                f"dependent set {''.join(sub)} maps to independent vectors")
     return vecs
 
 

@@ -11,6 +11,11 @@ a few hundred distinct ones, so each looks its answer up in a private
 unbounded table (``_sort``, ``_merge`` and ``_slices``, see their
 ``cache_info()``) that lives as long as the process.  The answers are
 immutable tuples.
+
+:func:`_compositions` walks the place vectors below a cap vector with a
+given total, the one enumeration behind the degree moves of the
+straightening rewrite, the degree splits of the Whitney ideal's
+generators and the index vectors of the distributive law.
 """
 
 from __future__ import annotations
@@ -109,3 +114,16 @@ def word_slices(word, parts):
 def _slices(word: tuple, parts: tuple):
     return tuple((sign, tuple(tuple(word[i] for i in b) for b in blocks))
                  for sign, blocks in position_slices(len(word), parts))
+
+
+def _compositions(total: int, caps):
+    """Vectors below ``caps`` entrywise that sum to ``total``, in
+    lexicographic order."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for r in range(max(0, total - room), min(caps[0], total) + 1):
+        for rest in _compositions(total - r, caps[1:]):
+            yield (r,) + rest

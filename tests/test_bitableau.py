@@ -207,6 +207,13 @@ class TestStraighten:
             BitableauElement(2, {(row,): 1})
         assert not rows_of(2, (row.word, dict(row.degrees)))
 
+    @pytest.mark.parametrize("row", [Biproduct(("b", "a"), ((1, 1), (2, 1))),
+                                     Biproduct(("a", "b"), ((2, 1), (1, 1))),
+                                     Biproduct(("a", "b"), ((1, 1), (1, 1)))])
+    def test_row_that_is_not_normalized_is_refused(self, row):
+        with pytest.raises(ValueError):
+            BitableauElement(2, {(row, Biproduct(("c",), ((1, 1),))): 1})
+
 
 def straighten_key(rows):
     """The term order of the rewrite: total word length, then the rows'

@@ -159,6 +159,10 @@ class TestSlice:
         with pytest.raises(ValueError):
             e(3, 1).slice((2, -1))
 
+    def test_no_parts_rejected(self):
+        with pytest.raises(ValueError):
+            ExteriorElement.unit(3).slice(())
+
     def test_coassociative(self):
         rng = random.Random(4)
         for _ in range(15):
@@ -228,3 +232,8 @@ class TestSpanAndSubstitute:
         x = rand_element(rng, 3)
         assert substitute(x, imgs) == x
 
+    def test_substitute_a_word_of_over_a_thousand_indices(self):
+        n = 1100
+        a = ExteriorElement.monomial(n, range(1, n + 1))
+        images = [ExteriorElement.monomial(n, (i,)) for i in range(1, n + 1)]
+        assert substitute(a, images) == a

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product as iproduct
 from unittest.mock import patch
 
@@ -146,6 +147,19 @@ class TestIdealOracle:
         m = Matroid.uniform(3, 2)
         gen = expand_raw(("a", "b", "c"), {1: 2, 2: 1}, 2)
         assert ideal_membership_bruteforce(gen, m)
+
+    def test_both_routes_cost_nothing_per_unused_place(self):
+        gen = expand_raw("abd", {1: 2, 2: 1}, 10 ** 5)
+        matroid = six_point_matroid()
+        tracemalloc.start()
+        try:
+            member = ideal_membership_bruteforce(gen, matroid)
+            nf = wh_normal_form(WhitneyElement(matroid, gen))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert member and not nf
+        assert peak < 10 ** 6
 
     def test_independent_monomial_is_not(self):
         m = Matroid.uniform(3, 2)
