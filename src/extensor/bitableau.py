@@ -6,18 +6,21 @@ word is at least as long as the lower one and dominates it entrywise;
 the rewrite replaces the first violating pair using the two-row shuffle
 identity, which expresses the product as a signed sum of pairs that are
 either strictly longer on top or lexicographically smaller there.
-Terms are rewritten in one fixed order: least total word length first,
-then by the rows' words and degrees.  Inside the loop each row is an
-int code that orders as the row does, sized from the input, so a term
-is a flat tuple of ints.  Each call keeps one table from the coded row
-pairs it meets to their replacements, or to a mark for a standard pair,
-so finding a violation is a few lookups and each pair is rewritten
-once; the degree moves of a pair rewrite come from one table shared by
-the whole process.  The rewrite preserves the value in the letterplace
-algebra exactly, which tests check through the place-regrouping map.
-Its output is word-standard only; :func:`standard_expansion` gives the
-coordinates in the doubly standard basis, whose place columns also
-increase strictly.  The product is ``SparseTerms.__mul__`` over
+Terms are taken in the order in which the rewrite terminates: a row
+ranks by its word length, then by its letters in reverse order, then by
+its degrees, and every term a step makes ranks after the term it came
+from, so each term is rewritten at most once, with its full
+coefficient.  Inside the loop each row is an int code that orders as
+that rank, sized from the input, so a term is a flat tuple of ints.
+Each call keeps one table from the coded row pairs it meets to their
+replacements, or to a mark for a standard pair, so finding a violation
+is a few lookups and each pair is rewritten once; the degree moves of a
+pair rewrite come from one table shared by the whole process.  The
+rewrite preserves the value in the letterplace algebra exactly, which
+tests check through the place-regrouping map.  Its output is
+word-standard only; :func:`standard_expansion` gives the coordinates in
+the doubly standard basis, whose place columns also increase strictly.
+The product is ``SparseTerms.__mul__`` over
 ``tensorops._product_terms``, with concatenation of row lists as this
 class's ``_merge``; the value of a product of rows and the basis both
 come from :func:`_row_product_terms`, the same kernel on the rows'
@@ -109,11 +112,14 @@ class BitableauElement(IntegerTerms):
 def _row_product_terms(rows: Rows, m: int) -> dict:
     """The product of the expanded rows in the letterplace algebra, as
     summed terms (a cancelled key stays at zero), multiplied left to
-    right one row expansion at a time."""
-    out = {(): 1}
-    for row in rows:
+    right one row expansion at a time onto the first row's.  A row's
+    expansion is cached, so a single row gets a copy of it."""
+    if not rows:
+        return {(): 1}
+    out = biproduct_expand(rows[0], m).num
+    for row in rows[1:]:
         out = _product_terms(out, biproduct_expand(row, m).num, _merge_monomials)
-    return out
+    return dict(out) if len(rows) == 1 else out
 
 
 def is_standard(rows) -> bool:
@@ -223,22 +229,27 @@ def _degree_moves(mu1, mu2, usize: int) -> tuple:
 
 def _row_coder(terms):
     """An int code for every row that the rewrite of ``terms`` can make,
-    ordered as the rows' ``(word, degrees)`` tuples are.
+    ordered as the rewrite terminates: by word length, then by the
+    letters in reverse order, then by the degrees.
 
-    A code is a fixed number of digits: the word's letters, ranked among
-    the letters of ``terms`` from 1 and padded with zeros, then its
-    (place, exponent) pairs, the place ranked among the places of
-    ``terms``, padded with zero pairs.  A rewrite keeps the letters of a
-    term and moves degrees between the places of its two rows, so no
-    word, exponent or pair count passes the longest total word length of
-    ``terms``, and every digit stays below the base.  The sizes come
-    from ``terms`` only, never from the number of places.
+    A code is a fixed number of digits: the word's length, then its
+    letters, each as ``base - rank`` with the rank among the letters of
+    ``terms`` from 1, padded with zeros; then its (place, exponent)
+    pairs, the place ranked among the places of ``terms``, padded with
+    zero pairs.  A rewrite step makes the upper row of its pair longer,
+    or as long and lexicographically smaller, and keeps the rows before
+    it, so every term it makes codes after its parent.  A rewrite keeps
+    the letters of a term and moves degrees between the places of its
+    two rows, so no word, exponent or pair count passes the longest
+    total word length of ``terms``, and every digit stays below the
+    base.  The sizes come from ``terms`` only, never from the number of
+    places.
     """
     letters = sorted({x for rows in terms for r in rows for x in r.word})
     places = sorted({p for rows in terms for r in rows for p, _ in r.degrees})
     width = max((sum(len(r.word) for r in rows) for rows in terms), default=0)
     base = max(len(letters), len(places), width) + 1
-    letter_rank = {x: i for i, x in enumerate(letters, 1)}
+    letter_digit = {x: base - i for i, x in enumerate(letters, 1)}
     place_rank = {p: i for i, p in enumerate(places, 1)}
 
     word_codes: dict = {}
@@ -249,9 +260,9 @@ def _row_coder(terms):
         word, degrees = row
         w = word_codes.get(word)
         if w is None:
-            w = 0
+            w = len(word)
             for x in word:
-                w = w * base + letter_rank[x]
+                w = w * base + letter_digit[x]
             w = word_codes[word] = w * base ** (width - len(word)) * shift
         d = degree_codes.get(degrees)
         if d is None:
@@ -271,21 +282,21 @@ _STANDARD = object()
 def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
     """Rewrite until every surviving row product is standard.
 
-    Each step takes the live term least in the heap's ``(total,
-    codes)`` order: the total word length of its rows, then the rows.
-    The loop works on rows coded as ints by :func:`_row_coder`, which
-    order as the rows do, so a term is a flat tuple of ints and
-    comparing or hashing it makes no Python-level call; the rows are
-    decoded once, at the end.  The heap beside the worklist gets a
-    term's entry when the term enters the worklist; an entry whose term
-    has since left the worklist is skipped when popped.  The total word
-    length is carried from the parent term, because a rewrite keeps the
-    content.  A table kept for the call maps each consecutive coded row
-    pair met to its coded replacement, or to a mark when the pair is
-    standard, so the first violation is found by lookups and each pair
-    rewrite is built once.  The budget counts rewrite steps, reused
-    rewrites included; exceeding it raises, and a negative budget is
-    refused.
+    Each step takes the least live term in the order of
+    :func:`_row_coder`'s codes, the order in which the rewrite
+    terminates (Desarmenien-Kung-Rota): every term a step makes codes
+    after its parent, so a term is taken only once every term that can
+    make it has been, and it is rewritten at most once, with its full
+    coefficient.  A term is a flat tuple of int codes, so comparing or
+    hashing it makes no Python-level call; the rows are decoded once, at
+    the end.  The heap beside the worklist holds each term once, from
+    when it first enters the worklist; a term whose coefficient has
+    cancelled is skipped when popped.  A table kept for the call maps each
+    consecutive coded row pair met to its coded replacement, or to a
+    mark when the pair is standard, so the first violation is found by
+    lookups and each pair rewrite is built once.  The budget counts
+    rewrite steps, one per nonstandard term with a nonzero coefficient;
+    exceeding it raises, and a negative budget is refused.
     """
     if budget < 0:
         raise ValueError(f"negative rewrite budget {budget}")
@@ -303,30 +314,15 @@ def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
             return _STANDARD
         return tuple((c, coded(new)) for c, new in _rewrite_pair(*rows))
 
-    work: dict[tuple, int] = {}
-    heap: list = []
-
-    def add(codes: tuple, c: int, total: int):
-        # c is never 0: input terms are nonzero, and so is every
-        # rewrite coefficient
-        v = work.get(codes)
-        if v is None:
-            heappush(heap, (total, codes))
-            work[codes] = c
-        elif v + c:
-            work[codes] = v + c
-        else:
-            del work[codes]
-
-    for rows, c in e.num.items():
-        add(coded(rows), c, sum(len(r.word) for r in rows))
+    work = {coded(rows): c for rows, c in e.num.items()}
+    heap = sorted(work)
     done: dict[tuple, int] = {}
     pairs: dict[tuple, object] = {}
     steps = 0
-    while work:
-        total, codes = heappop(heap)
-        coeff = work.pop(codes, None)
-        if coeff is None:
+    while heap:
+        codes = heappop(heap)
+        coeff = work.pop(codes)
+        if not coeff:
             continue
         for idx in range(len(codes) - 1):
             pair = codes[idx:idx + 2]
@@ -336,14 +332,19 @@ def straighten(e: BitableauElement, budget: int = 10 ** 6) -> BitableauElement:
             if rewrite is not _STANDARD:
                 break
         else:
-            done[codes] = done.get(codes, 0) + coeff
+            done[codes] = coeff
             continue
         steps += 1
         if steps > budget:
             raise StraighteningBudgetExceeded(f"no fixed point within {budget} steps")
         head, tail = codes[:idx], codes[idx + 2:]
         for c2, new in rewrite:
-            add(head + new + tail, coeff * c2, total)
+            child = head + new + tail
+            v = work.get(child)
+            if v is None:
+                heappush(heap, child)
+                v = 0
+            work[child] = v + coeff * c2
     return e._like({tuple(map(decoded.__getitem__, codes)): c
                     for codes, c in done.items()})
 

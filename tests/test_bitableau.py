@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import total_ordering
 from itertools import combinations, product
 from math import comb, prod
 from unittest.mock import patch
@@ -215,35 +216,88 @@ class TestStraighten:
             BitableauElement(2, {(row, Biproduct(("c",), ((1, 1),))): 1})
 
 
+@total_ordering
+class Descending:
+    """A letter that orders before the letters that precede it."""
+
+    __slots__ = ("letter",)
+
+    def __init__(self, letter):
+        self.letter = letter
+
+    def __eq__(self, other):
+        return self.letter == other.letter
+
+    def __lt__(self, other):
+        return self.letter > other.letter
+
+
 def straighten_key(rows):
-    """The term order of the rewrite: total word length, then the rows'
-    words and degrees, as ``straighten``'s heap orders its coded terms."""
+    """The term order of the rewrite, as ``straighten``'s heap orders its
+    coded terms: row by row, the word length, then the letters in
+    reverse order, then the degrees."""
+    return tuple((len(r.word), tuple(map(Descending, r.word)), r.degrees) for r in rows)
+
+
+def least_first_key(rows):
+    """The order of an earlier loop: least total word length, then the
+    rows as tuples.  A rewrite can make terms that come before their
+    parent in it, so that loop rewrites some terms more than once."""
     return (sum(len(r.word) for r in rows), rows)
 
 
-def reference_straighten(e):
-    """The rewrite loop without a heap or a memo: each step takes
-    ``min`` over the worklist and rebuilds the pair rewrite.  Returns
-    the terms and the steps."""
+def rewrite_children(rows):
+    """The (coefficient, rows) terms of one rewrite step of ``rows``, or
+    None when ``rows`` is standard."""
+    idx = _first_violation(rows)
+    if idx is None:
+        return None
+    return [(c, rows[:idx] + new + rows[idx + 2:])
+            for c, new in _rewrite_pair(rows[idx], rows[idx + 1])]
+
+
+def reference_straighten(e, key=straighten_key):
+    """The rewrite loop without a heap or a memo: each step takes the
+    ``min`` by ``key`` over the worklist and rebuilds the pair rewrite.
+    Returns the terms and the list of the terms rewritten, one per
+    step."""
     work = dict(e.terms)
     done = {}
-    steps = 0
+    rewritten = []
     while work:
-        rows = min(work, key=straighten_key)
+        rows = min(work, key=key)
         coeff = work.pop(rows)
-        idx = _first_violation(rows)
-        if idx is None:
+        children = rewrite_children(rows)
+        if children is None:
             done[rows] = done.get(rows, 0) + coeff
             continue
-        steps += 1
-        for c2, newrows in _rewrite_pair(rows[idx], rows[idx + 1]):
-            nk = rows[:idx] + newrows + rows[idx + 2:]
+        rewritten.append(rows)
+        for c2, nk in children:
             v = work.get(nk, 0) + coeff * c2
             if v:
                 work[nk] = v
             elif nk in work:
                 del work[nk]
-    return {rows: c for rows, c in done.items() if c}, steps
+    return {rows: c for rows, c in done.items() if c}, rewritten
+
+
+def assert_matches_the_references(e, arranged=None):
+    """``straighten`` gives the reference's terms in its order, within
+    exactly as many steps as the reference rewrites distinct terms; it
+    equals the least-first loop as a dict, in no more steps."""
+    want, rewritten = reference_straighten(e)
+    steps = len(rewritten)
+    assert len(set(rewritten)) == steps
+    arranged = e if arranged is None else arranged
+    got = straighten(arranged, budget=steps)
+    assert list(got.terms.items()) == list(want.items())
+    assert str(got) == str(e._like(want))
+    if steps:
+        with pytest.raises(StraighteningBudgetExceeded):
+            straighten(arranged, budget=steps - 1)
+    old, old_rewritten = reference_straighten(e, least_first_key)
+    assert got.terms == old
+    assert steps <= len(old_rewritten)
 
 
 def rand_rows(rng, m, count, max_len):
@@ -258,11 +312,10 @@ def one_step(b):
     """The first term of ``b`` replaced by its one-step rewrite: equal
     to it in value, but sharing its nonstandard rows."""
     rows, c = next(iter(b.terms.items()))
-    idx = _first_violation(rows)
-    if idx is None:
+    children = rewrite_children(rows)
+    if children is None:
         return b
-    return BitableauElement(b.m, {rows[:idx] + new + rows[idx + 2:]: c * c2
-                                  for c2, new in _rewrite_pair(rows[idx], rows[idx + 1])})
+    return BitableauElement(b.m, {new: c * c2 for c2, new in children})
 
 
 def _key_of_term(term):
@@ -300,14 +353,8 @@ class TestStraightenAgainstReference:
                              ids=("deglex", "reversed", "<lambda>0", "<lambda>1"))
     def test_same_terms_in_the_same_order_and_steps(self, arrange):
         for b in self.elements():
-            want, steps = reference_straighten(b)
-            e = BitableauElement(b.m, dict(arrange(list(b.terms.items()))))
-            got = straighten(e, budget=steps)
-            assert list(got.terms.items()) == list(want.items())
-            assert str(got) == str(b._like(want))
-            if steps:
-                with pytest.raises(StraighteningBudgetExceeded):
-                    straighten(e, budget=steps - 1)
+            assert_matches_the_references(
+                b, BitableauElement(b.m, dict(arrange(list(b.terms.items())))))
 
 
 @st.composite
@@ -319,12 +366,22 @@ def degrees_for(draw, n, m=3):
 
 
 @st.composite
-def biproducts(draw, letters="abcde"):
-    word = tuple(sorted(draw(st.sets(st.sampled_from(letters), min_size=1, max_size=3))))
+def biproducts(draw, letters="abcde", longest=3):
+    word = tuple(sorted(draw(st.sets(st.sampled_from(letters), min_size=1,
+                                     max_size=longest))))
     return Biproduct(word, draw(degrees_for(len(word))))
 
 
 row_tuples = st.lists(biproducts(), max_size=3).map(tuple)
+
+# products of 2-4 rows; four rows get words of at most two letters, so
+# that the reference loop stays small
+row_products = st.integers(2, 4).flatmap(
+    lambda n: st.lists(biproducts(longest=3 if n < 4 else 2),
+                       min_size=n, max_size=n).map(tuple))
+
+# (b|1)(ac|1^2): a step whose lower row empties and drops
+DROPPING = (Biproduct(("b",), ((1, 1),)), Biproduct(("a", "c"), ((1, 2),)))
 
 # letters whose string order is not their numeric order
 MULTI_LETTERS = ("a", "x1", "x10", "x2", "x20")
@@ -368,10 +425,7 @@ def coder_inputs(draw):
                           min_size=1, max_size=6))
     reached = []
     for rows in terms:
-        idx = _first_violation(rows)
-        if idx is not None:
-            reached.extend(rows[:idx] + new + rows[idx + 2:]
-                           for _, new in _rewrite_pair(rows[idx], rows[idx + 1]))
+        reached.extend(new for _, new in rewrite_children(rows) or ())
     return terms, reached
 
 
@@ -397,13 +451,29 @@ class TestStraightenInvariants:
         terms, reached = inputs
         code = _row_coder(terms)
         rows_list = terms + reached
-        coded = [(sum(len(r.word) for r in rows), tuple(map(code, rows)))
-                 for rows in rows_list]
+        coded = [tuple(map(code, rows)) for rows in rows_list]
         for a, ca in zip(rows_list, coded):
             for b, cb in zip(rows_list, coded):
                 ka, kb = straighten_key(a), straighten_key(b)
                 assert (ca < cb) == (ka < kb)
                 assert (ca == cb) == (a == b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_products)
+    @example(DROPPING)
+    def test_every_step_makes_terms_that_code_after_their_parent(self, rows):
+        # so the heap takes each term once: the reference rewrites no
+        # term twice, and straighten's steps are its distinct terms
+        _, rewritten = reference_straighten(BitableauElement(3, {rows: 1}))
+        assert len(set(rewritten)) == len(rewritten)
+        for parent in rewritten:
+            code = _row_coder([parent])
+            parent_code = tuple(map(code, parent))
+            for _, child in rewrite_children(parent):
+                assert tuple(map(code, child)) > parent_code
+
+    def test_a_step_can_drop_the_emptied_lower_row(self):
+        assert any(len(child) == 1 for _, child in rewrite_children(DROPPING))
 
     @settings(max_examples=150, deadline=None)
     @given(biproducts(), biproducts())
@@ -441,6 +511,13 @@ class TestFlatKernelsAgainstSecondRoutes:
             want = want + row_product_reference(rows, m).scale(c)
         assert e.to_letterplace() == want
 
+    def test_a_single_row_product_is_a_copy_of_the_cached_expansion(self):
+        row = Biproduct(("a", "b"), ((1, 1), (2, 1)))
+        terms = bitableau._row_product_terms((row,), 2)
+        assert terms == biproduct_expand(row, 2).num
+        assert terms is not biproduct_expand(row, 2).num
+        assert bitableau._row_product_terms((), 2) == {(): 1}
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(
         st.lists(st.tuples(row_tuples, st.integers(-3, 3)), min_size=1, max_size=3),
@@ -449,13 +526,7 @@ class TestFlatKernelsAgainstSecondRoutes:
     def test_straighten_agrees_with_the_reference(self, terms):
         # sums of products, so that terms of other contents interleave;
         # one-letter or multi-character letters
-        e = BitableauElement(3, _sum_terms(terms))
-        want, steps = reference_straighten(e)
-        got = straighten(e, budget=steps)
-        assert list(got.terms.items()) == list(want.items())
-        if steps:
-            with pytest.raises(StraighteningBudgetExceeded):
-                straighten(e, budget=steps - 1)
+        assert_matches_the_references(BitableauElement(3, _sum_terms(terms)))
 
 
 @pytest.mark.parametrize("caps", [(), (0,), (3,), (2, 0, 1), (1, 3, 2)])

@@ -287,6 +287,19 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --budget must be at least 0, got -1\n"
 
+    def test_budget_boundary_of_the_largest_golden_case(self, capsys):
+        # 184 terms out; the rewrite rewrites each of its 208 nonstandard
+        # terms once (a least-total-length-first loop took 631 steps)
+        expr = "bp(af; 2:2) ^ bp(ce; 1:1, 2:1) ^ bp(bde; 1:2, 2:1)"
+        golden = json.loads(Path(__file__).with_name("straighten_golden.json").read_text())
+        assert main(["straighten", "--budget", "208", "-e", expr]) == 0
+        assert capsys.readouterr().out == next(
+            case["stdout"] for case in golden if case["argv"][-1] == expr)
+        assert main(["straighten", "--budget", "207", "-e", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no fixed point within 207 steps\n"
+
     def test_straighten_command(self, capsys):
         code = main(["straighten", "-e", "bp(cd; 1:2) ^ bp(ab; 1:1, 2:1)"])
         assert code == 0
